@@ -29,9 +29,9 @@ from .renewal import (ChangePointModel, ConfigurationError, EventSequence,
                       register_sampler, simulate_compound, simulate_renewal,
                       substream, write_event_file)
 from .series import StatisticSeries, read_series_csv, write_series_csv
-from .theory import (SharkShape, TheoryParams, classify_shark, detection_bound,
-                     distortion, m_function, mu_le_theory, mu_ri_theory,
-                     normal_cdf, s_function, s_tilde, shark_fin,
+from .theory import (SharkShape, TheoryParams, brownian_blocks, classify_shark,
+                     detection_bound, distortion, m_function, mu_le_theory,
+                     mu_ri_theory, normal_cdf, s_function, s_tilde, shark_fin,
                      sigma2_le_theory, sigma2_ri_theory, simulate_L,
                      simulate_L_paths)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .filtered import G_process
 from .renewal import ConfigurationError, EventSequence, WindowConfig, substream
 from .series import StatisticSeries
-from .theory import _brownian_paths
+from .theory import brownian_blocks
 
 __all__ = [
     "ThresholdTable",
@@ -68,14 +68,24 @@ def _h0_block(T: float, h_set: tuple, grid_step: float, seed: int,
               block: int, size: int) -> np.ndarray:
     """Per-window-size maxima of |L| for one block of null replicates."""
     cfg = WindowConfig(T, h_set, grid_step)
-    rng = substream(seed, block)
-    w = _brownian_paths(rng, size, cfg.lattice_size(), grid_step)
-    out = np.empty((size, len(cfg.h_set)))
-    for i, h in enumerate(cfg.h_set):
-        jg = cfg.grid_indices(h)
-        k = cfg.lattice_index(h, "window size")
-        paths = (w[:, jg + k] - 2.0 * w[:, jg] + w[:, jg - k]) / math.sqrt(2.0 * h)
-        out[:, i] = np.max(np.abs(paths), axis=1)
+    # The grid of window h is j = k, ..., k+m-1 with k = h/grid_step, so the
+    # path at j+k, j and j-k is read as the slices [2k, 2k+m), [k, k+m), [0, m).
+    windows = [(cfg.lattice_index(h, "window size"), cfg.grid_indices(h).size,
+                math.sqrt(2.0 * h)) for h in cfg.h_set]
+    out = np.empty((size, len(windows)))
+    buf = None
+    for rows, w in brownian_blocks(substream(seed, block), size,
+                                   cfg.lattice_size(), grid_step):
+        if buf is None:
+            buf = np.empty_like(w)
+        for i, (k, m, norm) in enumerate(windows):
+            d = buf[:len(w), :m]
+            np.multiply(w[:, k:k + m], 2.0, out=d)
+            np.subtract(w[:, 2 * k:2 * k + m], d, out=d)
+            np.add(d, w[:, :m], out=d)
+            np.abs(d, out=d)
+            # dividing by a positive constant commutes exactly with the max
+            out[rows, i] = d.max(axis=1) / norm
     return out
 
 
@@ -116,13 +126,42 @@ class ThresholdTable:
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":
+        """Read a table written by `save`; ConfigurationError if it is unusable."""
         with open(path) as fh:
             d = json.load(fh)
-        return cls(alpha=d["alpha"], h_set=tuple(sorted(d["h_set"])), T=d["T"],
-                   grid_step=d["grid_step"], n_sims=int(d["n_sims"]),
-                   seed=int(d["seed"]), Q=d["Q"],
-                   per_h_max_quantiles={float(h): q for h, q in
-                                        d["per_h_max_quantiles"].items()})
+
+        def field(name, convert):
+            try:
+                return convert(d[name])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"threshold table {path}: bad or missing field {name!r}") from exc
+
+        def require(ok, name, why):
+            if not ok:
+                raise ConfigurationError(f"threshold table {path}: {name} {why}")
+
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"threshold table {path}: not a JSON object")
+        table = cls(alpha=field("alpha", float),
+                    h_set=field("h_set", lambda v: tuple(sorted(float(h) for h in v))),
+                    T=field("T", float), grid_step=field("grid_step", float),
+                    n_sims=field("n_sims", int), seed=field("seed", int),
+                    Q=field("Q", float),
+                    per_h_max_quantiles=field("per_h_max_quantiles", lambda v: {
+                        float(h): float(q) for h, q in v.items()}))
+        require(math.isfinite(table.Q), "Q", f"must be finite, got {table.Q}")
+        require(0.0 < table.alpha < 1.0, "alpha",
+                f"must lie in (0, 1), got {table.alpha}")
+        require(table.n_sims >= 100, "n_sims",
+                f"must be at least 100, got {table.n_sims}")
+        require(len(table.h_set) > 0, "h_set", "must not be empty")
+        require(set(table.per_h_max_quantiles) == set(table.h_set),
+                "per_h_max_quantiles", f"keys {sorted(table.per_h_max_quantiles)} "
+                f"differ from h_set {list(table.h_set)}")
+        require(all(math.isfinite(q) for q in table.per_h_max_quantiles.values()),
+                "per_h_max_quantiles", "must all be finite")
+        return table
 
 
 def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,

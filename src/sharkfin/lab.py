@@ -42,7 +42,7 @@ from .filtered import s_hat, window_estimate_series
 from .presets import DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig,
                       simulate_compound, simulate_renewal, substream)
-from .theory import (TheoryParams, _brownian_paths, distortion, m_function,
+from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
                      mu_le_theory, mu_ri_theory, s_function, shark_fin,
                      sigma2_ri_theory, simulate_L_paths)
 
@@ -182,9 +182,11 @@ def _h0_probe_samples(T: float, h: float, grid_step: float, probes: np.ndarray,
     cfg = WindowConfig(T, (h,), grid_step)
     idx = np.array([cfg.lattice_index(t, "probe time") for t in probes])
     k = cfg.lattice_index(h, "window size")
-    rng = substream(seed, *stream)
-    w = _brownian_paths(rng, n_paths, cfg.lattice_size(), grid_step)
-    return (w[:, idx + k] - 2.0 * w[:, idx] + w[:, idx - k]) / math.sqrt(2.0 * h)
+    out = np.empty((n_paths, idx.size))
+    for rows, w in brownian_blocks(substream(seed, *stream), n_paths,
+                                   cfg.lattice_size(), grid_step):
+        out[rows] = (w[:, idx + k] - 2.0 * w[:, idx] + w[:, idx - k]) / math.sqrt(2.0 * h)
+    return out
 
 
 def _snap_probes(cfg: WindowConfig, h: float, probes) -> np.ndarray:

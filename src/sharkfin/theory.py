@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -54,6 +54,7 @@ __all__ = [
     "normal_cdf",
     "detection_bound",
     "simulate_L",
+    "brownian_blocks",
     "simulate_L_paths",
 ]
 
@@ -285,7 +286,7 @@ def distortion(t, p: TheoryParams):
 
 
 def normal_cdf(x):
-    """Standard normal distribution function (rational erf approximation)."""
+    """Standard normal distribution function (scipy's `ndtr`)."""
     out = ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
@@ -308,14 +309,33 @@ def detection_bound(Q: float, p: TheoryParams) -> float:
 # Gaussian limit process
 
 
-def _brownian_paths(rng: np.random.Generator, n_paths: int, n_steps: int,
-                    step: float) -> np.ndarray:
-    """(n_paths, n_steps+1) standard Brownian paths sampled every `step`."""
-    incs = rng.standard_normal((n_paths, n_steps)) * math.sqrt(step)
-    w = np.empty((n_paths, n_steps + 1))
+# Paths per chunk of `brownian_blocks`: about 1 MiB of path, so that a chunk
+# and the window sums computed from it stay in the L2 cache.
+_CHUNK_BYTES = 2**20
+
+
+def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
+                    step: float) -> Iterator[tuple]:
+    """Standard Brownian paths sampled every `step`, in row chunks.
+
+    Yields (rows, w) pairs: `w` holds paths `rows` (a slice of range
+    n_paths) with shape (len, n_steps+1) and w[:, 0] = 0.  The values are
+    those of one (n_paths, n_steps) draw of increments, because numpy's
+    `standard_normal` fills rows identically however a draw is split; so
+    seeded results do not depend on the chunking.  `w` is one reused
+    buffer, overwritten by the next chunk.
+    """
+    rows = max(1, min(n_paths, _CHUNK_BYTES // (8 * (n_steps + 1))))
+    incs = np.empty((rows, n_steps))
+    w = np.empty((rows, n_steps + 1))
     w[:, 0] = 0.0
-    np.cumsum(incs, axis=1, out=w[:, 1:])
-    return w
+    scale = math.sqrt(step)
+    for start in range(0, n_paths, rows):
+        r = min(rows, n_paths - start)
+        rng.standard_normal(out=incs[:r])
+        incs[:r] *= scale
+        np.cumsum(incs[:r], axis=1, out=w[:r, 1:])
+        yield slice(start, start + r), w[:r]
 
 
 def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
@@ -336,34 +356,33 @@ def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
     kc = cfg.lattice_index(p.c, "change point")
     grid = jg * delta
 
-    rng = substream(seed, *stream)
-    w = _brownian_paths(rng, n_paths, cfg.lattice_size(), delta)
-    wp = w[:, jg + kh]
-    wt = w[:, jg]
-    wm = w[:, jg - kh]
-
     mid_left = (jg >= kc - kh) & (jg <= kc)
     mid_right = (jg > kc) & (jg <= kc + kh)
     outer = ~(mid_left | mid_right)
+    g1 = math.sqrt(p.ratio1)
+    g2 = math.sqrt(p.ratio2)
+    p1 = p.at_scale(1)
+    s_left = s_function(grid[mid_left], p1)
+    s_right = s_function(grid[mid_right], p1)
 
-    values = np.empty((n_paths, jg.size))
-    values[:, outer] = ((wp[:, outer] - 2.0 * wt[:, outer] + wm[:, outer])
-                        / math.sqrt(2.0 * p.h))
-    if mid_left.any() or mid_right.any():
+    m = jg.size
+    values = np.empty((n_paths, m))
+    rng = substream(seed, *stream)
+    for rows, w in brownian_blocks(rng, n_paths, cfg.lattice_size(), delta):
+        # the grid is jg = kh, ..., kh+m-1, so w at jg+kh, jg, jg-kh are slices
+        wp, wt, wm = w[:, 2 * kh:2 * kh + m], w[:, kh:kh + m], w[:, :m]
+        v = values[rows]
+        v[:, outer] = ((wp[:, outer] - 2.0 * wt[:, outer] + wm[:, outer])
+                       / math.sqrt(2.0 * p.h))
         wc = w[:, kc][:, None]
-        g1 = math.sqrt(p.ratio1)
-        g2 = math.sqrt(p.ratio2)
-        p1 = p.at_scale(1)
         if mid_left.any():
-            s1 = s_function(grid[mid_left], p1)
-            values[:, mid_left] = (
+            v[:, mid_left] = (
                 g2 * (wp[:, mid_left] - wc)
-                + g1 * (wc - 2.0 * wt[:, mid_left] + wm[:, mid_left])) / s1
+                + g1 * (wc - 2.0 * wt[:, mid_left] + wm[:, mid_left])) / s_left
         if mid_right.any():
-            s1 = s_function(grid[mid_right], p1)
-            values[:, mid_right] = (
+            v[:, mid_right] = (
                 g2 * (wp[:, mid_right] - 2.0 * wt[:, mid_right] + wc)
-                - g1 * (wc - wm[:, mid_right])) / s1
+                - g1 * (wc - wm[:, mid_right])) / s_right
     return grid, values
 
 

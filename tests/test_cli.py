@@ -115,6 +115,21 @@ def test_detect_malformed_events(tmp_path, table_file, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_detect_rejects_nan_threshold_table(tmp_path, table_file, capsys):
+    # NaN parses as JSON; compared against it the test would never reject
+    d = json.loads(table_file.read_text())
+    d["Q"] = float("nan")
+    bad = tmp_path / "nan_table.json"
+    bad.write_text(json.dumps(d))
+    assert run("simulate", "--p1", 1, "--l1", 1, "--p2", 1, "--l2", 20,
+               "--c", 500, "--T", 1000, "--seed", 9, "--out-dir", tmp_path) == 0
+    assert run("detect", "--input", tmp_path / "events.txt", "--table", bad,
+               "--h", 150, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "nan_table.json" in err and "Q must be finite" in err
+    assert not (tmp_path / "detection.json").exists()
+
+
 def test_detect_missing_input(tmp_path, capsys):
     assert run("detect", "--out-dir", tmp_path) != 0
     assert "input" in capsys.readouterr().err

@@ -1,13 +1,19 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sharkfin.detector import (ThresholdTable, detect, estimate_change_points,
-                               merge_across_windows, simulate_threshold,
-                               threshold_cache_key)
+from sharkfin.detector import (ThresholdTable, _h0_block, detect,
+                               estimate_change_points, merge_across_windows,
+                               simulate_threshold, threshold_cache_key)
 from sharkfin.presets import SHARK_WEST
 from sharkfin.renewal import (ConfigurationError, EventSequence, RenewalSpec,
-                              simulate_compound, simulate_renewal)
+                              WindowConfig, simulate_compound, simulate_renewal,
+                              substream)
 from sharkfin.series import StatisticSeries
+from sharkfin.theory import brownian_blocks
 
 
 def make_series(grid, values, valid=None, h=150.0, step=None):
@@ -46,10 +52,79 @@ def test_threshold_reproducible_and_bracketed():
     assert 2.0 <= a.Q <= 5.0
 
 
-def test_threshold_workers_do_not_change_result():
-    a = simulate_threshold(1000.0, [150.0], 5.0, 0.05, 1500, seed=11, workers=1)
-    b = simulate_threshold(1000.0, [150.0], 5.0, 0.05, 1500, seed=11, workers=3)
+@pytest.mark.parametrize("h_set, step", [
+    ([150.0], 5.0),
+    # many row chunks per block on a fine lattice
+    ([50.0, 100.0, 150.0], 1.0),
+], ids=["single_window", "multi_window_fine"])
+def test_threshold_workers_do_not_change_result(h_set, step):
+    a = simulate_threshold(1000.0, h_set, step, 0.05, 1500, seed=11, workers=1)
+    b = simulate_threshold(1000.0, h_set, step, 0.05, 1500, seed=11, workers=3)
     assert a.Q == b.Q
+    assert a.per_h_max_quantiles == b.per_h_max_quantiles
+
+
+def test_threshold_golden_values():
+    # pins the seeded stream; the 1024 + 476 path blocks cross chunk boundaries
+    table = simulate_threshold(1000.0, [50.0, 100.0, 150.0], 1.0, 0.05, 1500, seed=5)
+    assert table.Q == 3.8139341643069167
+    assert table.per_h_max_quantiles == {50.0: 3.7188528441920297,
+                                         100.0: 3.4850144817344573,
+                                         150.0: 3.3209650430533846}
+
+
+def _brownian_paths(rng, n_paths, n_steps, step):
+    """Oracle: the whole (n_paths, n_steps+1) path matrix in one draw."""
+    incs = rng.standard_normal((n_paths, n_steps)) * math.sqrt(step)
+    w = np.empty((n_paths, n_steps + 1))
+    w[:, 0] = 0.0
+    np.cumsum(incs, axis=1, out=w[:, 1:])
+    return w
+
+
+def _h0_block_oracle(T, h_set, grid_step, seed, block, size):
+    """Oracle: per-window maxima from the full matrix and index gathers."""
+    cfg = WindowConfig(T, h_set, grid_step)
+    w = _brownian_paths(substream(seed, block), size, cfg.lattice_size(), grid_step)
+    out = np.empty((size, len(cfg.h_set)))
+    for i, h in enumerate(cfg.h_set):
+        jg = cfg.grid_indices(h)
+        k = cfg.lattice_index(h, "window size")
+        paths = (w[:, jg + k] - 2.0 * w[:, jg] + w[:, jg - k]) / math.sqrt(2.0 * h)
+        out[:, i] = np.max(np.abs(paths), axis=1)
+    return out
+
+
+@pytest.mark.parametrize("chunks", [0.5, 1.0, 2.6])
+def test_brownian_kernel_matches_full_matrix_oracle(chunks):
+    n_steps = 1000
+    chunk_rows = len(next(brownian_blocks(substream(1), 10**6, n_steps, 1.0))[1])
+    assert 8 * (n_steps + 1) * chunk_rows <= 2**20
+    n_paths = max(1, int(chunks * chunk_rows))
+
+    expect = _brownian_paths(substream(4, 2), n_paths, n_steps, 0.5)
+    got = np.empty_like(expect)
+    covered = 0
+    for rows, w in brownian_blocks(substream(4, 2), n_paths, n_steps, 0.5):
+        assert len(w) <= chunk_rows
+        got[rows] = w
+        covered += len(w)
+    assert covered == n_paths
+    assert np.array_equal(got, expect)
+
+    args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 3, n_paths)
+    assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
+
+
+def test_threshold_block_memory_is_bounded():
+    # the full-matrix block held about 385 MB here
+    tracemalloc.start()
+    try:
+        _h0_block(1e4, (50.0, 100.0, 150.0, 200.0), 1.0, 1, 0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_threshold_validation():
@@ -70,6 +145,27 @@ def test_threshold_table_roundtrip(tmp_path):
     assert back.cache_key() == table.cache_key()
     assert threshold_cache_key(1000.0, [150.0, 100.0], 5.0, 0.05, 500, 12) \
         == table.cache_key()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("Q", float("nan"), "Q must be finite"),
+    ("alpha", 1.5, "alpha must lie in (0, 1)"),
+    ("n_sims", 50, "n_sims must be at least 100"),
+    ("h_set", [], "h_set must not be empty"),
+    ("per_h_max_quantiles", {"100.0": 3.0}, "differ from h_set"),
+    ("per_h_max_quantiles", {"100.0": 3.0, "150.0": float("inf")}, "finite"),
+    ("Q", None, "'Q'"),
+])
+def test_threshold_table_load_rejects_unusable_fields(tmp_path, field, value,
+                                                      message):
+    table = simulate_threshold(1000.0, [100.0, 150.0], 5.0, 0.05, 500, seed=12)
+    d = json.loads(table.to_json())
+    d[field] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigurationError) as err:
+        ThresholdTable.load(path)
+    assert str(path) in str(err.value) and message in str(err.value)
 
 
 # ---------------------------------------------------------------------------

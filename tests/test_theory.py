@@ -284,6 +284,16 @@ def test_simulate_L_deterministic_and_flat_reduces_to_null_form():
     assert np.allclose(flat1.values, flat2.values, atol=1e-10)
 
 
+def test_simulate_L_paths_do_not_depend_on_chunking():
+    # T/step = 1000 lattice steps: 300 paths span several row chunks
+    cfg = WindowConfig(1000.0, (150.0,), 1.0)
+    grid, many = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=300)
+    _, few = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=7)
+    assert np.array_equal(many[:7], few)
+    assert np.array_equal(simulate_L(cfg, ROW_A, seed=8).values, few[0])
+    assert np.isfinite(many).all() and grid.size == many.shape[1]
+
+
 def test_simulate_L_rejects_misaligned_configuration():
     cfg = WindowConfig(1000.0, (150.0,), 5.0)
     off = TheoryParams(1.0, 0.05, 1.0, 1 / 400, c=501.0, T=1000.0, h=150.0)
