@@ -19,6 +19,7 @@ is independently reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,16 +164,19 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     equal floats when life times are accumulated.  The bump moves an event
     by <= a few ulp, which no windowed count at O(1) resolution can see,
     and it preserves the event count, unlike dropping the tie.
+
+    Works in place on a writable array of non-negative finite times and
+    returns it.  Such doubles are ordered like their int64 bit patterns,
+    and nextafter(x, inf) is the pattern plus one, so the fixed point
+    t'[i] = max(t[i], nextafter(t'[i-1], inf)) is a running maximum of
+    bits[i] - i, shifted back by i.
     """
-    if times.size < 2:
-        return times
-    while True:
-        bad = np.flatnonzero(np.diff(times) <= 0.0)
-        if bad.size == 0:
-            return times
-        times = times.copy() if not times.flags.writeable else times
-        for i in bad:
-            times[i + 1] = np.nextafter(times[i], np.inf)
+    bits = times.view(np.int64)
+    i = np.arange(bits.size, dtype=np.int64)
+    bits -= i
+    np.maximum.accumulate(bits, out=bits)
+    bits += i
+    return times
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +232,15 @@ class EventSequence:
         return self.count_at(b) - self.count_at(a)
 
 
+def _trusted_sequence(events: np.ndarray, horizon: float) -> EventSequence:
+    """EventSequence over times this module built valid; skips __post_init__."""
+    events.flags.writeable = False
+    seq = object.__new__(EventSequence)
+    object.__setattr__(seq, "events", events)
+    object.__setattr__(seq, "horizon", horizon)
+    return seq
+
+
 # ---------------------------------------------------------------------------
 # models and simulation
 
@@ -268,6 +281,61 @@ class ChangePointModel:
                    d["c"], d["T"], int(d.get("n", 1)))
 
 
+def _skip_count(spec: RenewalSpec, lo: float) -> int:
+    """Life times that end before lo except with negligible probability.
+
+    K sits 8 standard deviations of the renewal count N(lo) below its mean
+    lo/mu, so S_K > lo is rare; when it happens, the caller rebuilds the
+    events in (lo, S_K] exactly.
+    """
+    return max(0, math.floor(lo / spec.mu - 8.0 * math.sqrt(lo * spec.sigma2 / spec.mu**3)))
+
+
+def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
+                    hi: float) -> np.ndarray:
+    """Strictly increasing events in (lo, hi] of a renewal process started at 0.
+
+    Life times come from rng in chunks and are accumulated in one running
+    sum until it passes hi.  The first chunk covers the mean count of
+    the span plus six standard deviations, so a second chunk is rare.
+    Strict increase is enforced once, on the times up to hi that were
+    drawn, and the result is the part in (lo, hi].
+
+    For gamma and exponential life times with lo > 0, the first K =
+    _skip_count(spec, lo) renewals are skipped: S_K, a sum of K i.i.d.
+    Gamma(p, rate) life times, is drawn in one call as Gamma(K*p, rate),
+    which is exact in law.  If S_K > lo, the partial sums S_1..S_K are
+    rebuilt given S_K, as S_K times the normalised cumulative sums of K
+    Gamma(p, 1) draws (a Dirichlet bridge).  Generic samplers and lo = 0
+    draw the full path, so their streams are those of a plain simulation.
+    """
+    if hi <= lo:
+        return np.empty(0)
+    start = 0.0
+    parts = []
+    k = _skip_count(spec, lo) if lo > 0 and spec.family != "generic" else 0
+    if k:
+        shape = spec.shape if spec.family == "gamma" else 1.0
+        start = float(rng.gamma(k * shape, 1.0 / spec.rate))
+        if start > lo:
+            sums = np.cumsum(rng.standard_gamma(shape, k))
+            parts.append(sums / sums[-1] * start)
+    span = max(hi - start, 0.0)
+    chunk = int(span / spec.mu + 6.0 * math.sqrt(span * spec.sigma2 / spec.mu**3)) + 16
+    total = start
+    while total <= hi:
+        xi = spec.draw(rng, chunk)
+        xi[0] += total
+        np.cumsum(xi, out=xi)
+        parts.append(xi)
+        total = float(xi[-1])
+        chunk = max(chunk // 4, 1024)
+    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    times = _enforce_strict_increase(times[:np.searchsorted(times, hi, side="right")])
+    return times[np.searchsorted(times, lo, side="right"):
+                 np.searchsorted(times, hi, side="right")]
+
+
 def simulate_renewal(spec: RenewalSpec, horizon: float, seed: int,
                      stream: Iterable[int] = ()) -> EventSequence:
     """Simulate a renewal process on (0, horizon].
@@ -280,18 +348,8 @@ def simulate_renewal(spec: RenewalSpec, horizon: float, seed: int,
         raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
     rng = substream(seed, *stream)
     if horizon == 0:
-        return EventSequence(np.empty(0), 0.0)
-    parts = []
-    total = 0.0
-    chunk = max(int(horizon / spec.mu * 1.25) + 16, 16)
-    while total <= horizon:
-        xi = spec.draw(rng, chunk)
-        parts.append(xi)
-        total += float(xi.sum())
-        chunk = max(chunk // 4, 1024)
-    times = np.cumsum(np.concatenate(parts))
-    times = _enforce_strict_increase(times)
-    return EventSequence(times[times <= horizon], horizon)
+        return _trusted_sequence(np.empty(0), 0.0)
+    return _trusted_sequence(_events_between(spec, rng, 0.0, horizon), horizon)
 
 
 def simulate_compound(model: ChangePointModel, seed: int,
@@ -299,16 +357,15 @@ def simulate_compound(model: ChangePointModel, seed: int,
     """Simulate a change-point model on (0, n*T].
 
     The first segment is a phi1 process on (0, n*c]; the second is an
-    independent phi2 process on (0, n*T] restricted to (n*c, n*T].  An
-    event landing exactly on n*c belongs to the first segment.  The two
+    independent phi2 process started at 0 and restricted to (n*c, n*T].
+    An event landing exactly on n*c belongs to the first segment.  The two
     segments use the sub-streams (*stream, 1) and (*stream, 2).
     """
     nc = model.n * model.c
     nT = model.n * model.T
-    left = simulate_renewal(model.phi1, nc, seed, stream=(*stream, 1))
-    right = simulate_renewal(model.phi2, nT, seed, stream=(*stream, 2))
-    times = np.concatenate([left.events, right.events[right.events > nc]])
-    return EventSequence(_enforce_strict_increase(times), nT)
+    left = _events_between(model.phi1, substream(seed, *stream, 1), 0.0, nc)
+    right = _events_between(model.phi2, substream(seed, *stream, 2), nc, nT)
+    return _trusted_sequence(np.concatenate([left, right]), nT)
 
 
 # ---------------------------------------------------------------------------
@@ -386,42 +443,82 @@ class WindowConfig:
 # event file I/O
 
 # Format: '#'-prefixed comment lines, a '# horizon=<value>' header, then one
-# ascending decimal event time per line.
+# ascending decimal event time per line.  Files are written and parsed in
+# blocks of _IO_BLOCK lines, which bounds the text held in memory at once.
+_IO_BLOCK = 1 << 16
 
 
 def write_event_file(path, seq: EventSequence) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# horizon={seq.horizon!r}\n")
-        for t in seq.events:
-            fh.write(f"{float(t)!r}\n")
+        fh.write(f"# horizon={float(seq.horizon)!r}\n")
+        for i in range(0, len(seq), _IO_BLOCK):
+            fh.write("\n".join(map(repr, seq.events[i:i + _IO_BLOCK].tolist())) + "\n")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_block(path, lines: list, first: int, prev: float):
+    """(horizon or None, times) of the raw lines numbered from `first`.
+
+    Times must be finite and increase, the first one past `prev`.  Of the
+    bad lines of a block, header or event, the first one is reported.
+    """
+    rows = [i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")]
+    data = [lines[i] for i in rows]
+    try:
+        times = np.array(data, dtype=float)
+    except ValueError:
+        # parse up to the first non-number: errors on earlier lines come first
+        times = np.array(data[:next(j for j, text in enumerate(data)
+                                    if not _is_number(text))], dtype=float)
+    before = np.concatenate(([prev], times[:-1]))
+    bad = np.flatnonzero(~np.isfinite(times) | (times <= before))
+    j = int(bad[0]) if bad.size else times.size  # first bad event row, if any
+    horizon = None
+    other = np.ones(len(lines), dtype=bool)  # comment and blank lines
+    other[rows] = False
+    for i in np.flatnonzero(other[:rows[j] if j < len(rows) else len(lines)]):
+        line = lines[i].strip()
+        if line[1:].strip().startswith("horizon="):
+            try:
+                horizon = float(line.split("=", 1)[1])
+            except ValueError:
+                horizon = math.nan
+            if not (math.isfinite(horizon) and horizon >= 0):
+                raise ValueError(f"{path}: line {first + i}: bad horizon header {line!r}")
+    if j < len(rows):
+        where = f"{path}: line {first + rows[j]}"
+        text = data[j].strip()
+        if j == times.size:
+            raise ValueError(f"{where}: not a number: {text!r}")
+        if not math.isfinite(times[j]):
+            raise ValueError(f"{where}: event time must be finite, got {text!r}")
+        raise ValueError(
+            f"{where}: event time {float(times[j])} does not increase past {float(before[j])}")
+    return horizon, times
 
 
 def read_event_file(path) -> EventSequence:
+    """Read an event file; format errors name the file and the line."""
     horizon = None
-    times = []
-    prev = 0.0
+    parts = []
+    first = 1
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("horizon="):
-                    try:
-                        horizon = float(body.split("=", 1)[1])
-                    except ValueError:
-                        raise ValueError(f"{path}: line {lineno}: bad horizon header {line!r}")
-                continue
-            try:
-                t = float(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a number: {line!r}")
-            if t <= prev:
-                raise ValueError(
-                    f"{path}: line {lineno}: event time {t} does not increase past {prev}")
-            times.append(t)
-            prev = t
+        while lines := list(itertools.islice(fh, _IO_BLOCK)):
+            header, times = _parse_block(path, lines, first, parts[-1][-1] if parts else 0.0)
+            horizon = horizon if header is None else header
+            if times.size:
+                parts.append(times)
+            first += len(lines)
     if horizon is None:
         raise ValueError(f"{path}: missing '# horizon=' header")
-    return EventSequence(np.asarray(times), horizon)
+    try:
+        return EventSequence(np.concatenate(parts) if parts else np.empty(0), horizon)
+    except ValueError as exc:  # an event beyond the horizon
+        raise ValueError(f"{path}: {exc}") from None

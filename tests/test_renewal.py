@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharkfin import renewal
 from sharkfin.renewal import (ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
                               read_event_file, register_sampler,
@@ -255,4 +256,62 @@ def test_event_file_errors_name_the_line(tmp_path):
         read_event_file(path)
     path.write_text("1.0\n2.0\n")
     with pytest.raises(ValueError, match="horizon"):
+        read_event_file(path)
+
+
+@pytest.mark.parametrize("block", [None, 2, 3])
+@pytest.mark.parametrize("bad,message", [("nan", "finite"), ("inf", "finite"),
+                                         ("-inf", "finite"), ("1.5", "increase"),
+                                         ("2.0", "increase"), ("x1", "not a number")])
+def test_event_file_bad_time_names_its_line(tmp_path, monkeypatch, bad, message, block):
+    # small blocks put the bad line, and the time it must exceed, in later blocks
+    if block:
+        monkeypatch.setattr(renewal, "_IO_BLOCK", block)
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# horizon=10\n1.0\n\n# note\n2.0\n{bad}\n3.0\nzz\n")
+    with pytest.raises(ValueError, match=f"bad.txt: line 6: .*{message}"):
+        read_event_file(path)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_event_file_write_format_and_roundtrip(tmp_path, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(renewal, "_IO_BLOCK", block)
+    seq = simulate_renewal(RenewalSpec.gamma(1 / 20, 1 / 20), 300.0, seed=29)
+    path = tmp_path / "events.txt"
+    write_event_file(path, seq)
+    assert path.read_text() == (f"# horizon={seq.horizon!r}\n"
+                                + "".join(f"{float(t)!r}\n" for t in seq.events))
+    back = read_event_file(path)
+    assert back.horizon == seq.horizon and np.array_equal(back.events, seq.events)
+    empty = EventSequence(np.empty(0), np.float64(5.0))
+    write_event_file(path, empty)
+    assert path.read_text() == "# horizon=5.0\n"
+    assert len(read_event_file(path)) == 0
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("text,message", [
+    ("# horizon=10\n1.0\nx1\n2.0\n# horizon=nan\n", "line 3: not a number"),
+    ("# horizon=10\n1.0\n0.5\n# horizon=nan\n", "line 3: .*does not increase"),
+    ("# horizon=10\n1.0\n# horizon=nan\nx1\n", "line 3: bad horizon header")],
+    ids=["non_number_first", "decrease_first", "header_first"])
+def test_event_file_first_bad_line_wins(tmp_path, monkeypatch, text, message, block):
+    # a bad header and a bad event line in one block: the earlier line is named
+    if block:
+        monkeypatch.setattr(renewal, "_IO_BLOCK", block)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.txt: {message}"):
+        read_event_file(path)
+
+
+@pytest.mark.parametrize("header", ["ab", "nan", "inf", "-1.0"])
+def test_event_file_bad_horizon_names_its_line(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# run 3\n# horizon={header}\n1.0\n")
+    with pytest.raises(ValueError, match="bad.txt: line 2: bad horizon header"):
+        read_event_file(path)
+    path.write_text("# horizon=2.0\n1.0\n3.0\n")
+    with pytest.raises(ValueError, match="bad.txt: .*exceeds horizon"):
         read_event_file(path)
