@@ -18,13 +18,17 @@ import numpy as np
 from .detector import ThresholdTable, detect, simulate_threshold, threshold_cache_key
 from .filtered import write_series_csv
 from .lab import run_verification_suite
+from .presets import DEFAULT_H, SHARK_WEST
 from .renewal import (ChangePointModel, ConfigurationError, RenewalSpec,
                       read_event_file, simulate_compound, simulate_renewal,
                       write_event_file)
 from .theory import (TheoryParams, distortion, m_function, s_function, shark_fin)
 
-_ROW_A = {"p1": 1.0, "l1": 1.0, "p2": 1.0, "l2": 20.0,
-          "c": 500.0, "T": 1000.0, "h": 150.0, "n": 1}
+# `theory` defaults: the SHARK_WEST preset at its analysis window
+_THEORY_DEFAULTS = {
+    "p1": SHARK_WEST.phi1.shape, "l1": SHARK_WEST.phi1.rate,
+    "p2": SHARK_WEST.phi2.shape, "l2": SHARK_WEST.phi2.rate,
+    "c": SHARK_WEST.c, "T": SHARK_WEST.T, "h": DEFAULT_H, "n": SHARK_WEST.n}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,9 +213,9 @@ def cmd_detect(args) -> int:
 
 def cmd_theory(args) -> int:
     config = _load_config(args)
-    vals = {k: float(_opt(args, config, k, _ROW_A[k]))
+    vals = {k: float(_opt(args, config, k, _THEORY_DEFAULTS[k]))
             for k in ("p1", "l1", "p2", "l2", "c", "T", "h")}
-    n = int(_opt(args, config, "n", _ROW_A["n"]))
+    n = int(_opt(args, config, "n", _THEORY_DEFAULTS["n"]))
     delta = float(_opt(args, config, "delta", vals["h"] / 50))
     out = _out_dir(args, config)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -181,6 +180,8 @@ def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,
         sizes.append(n_sims % _BLOCK)
     jobs = [(T, cfg.h_set, grid_step, seed, b, size) for b, size in enumerate(sizes)]
     if workers > 1:
+        # imported here: the process pool module costs every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_h0_block_job, jobs))
     else:

@@ -146,8 +146,7 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
             mean_left=zeros, mean_right=zeros.copy(), var_left=zeros.copy(),
             var_right=zeros.copy(), count_diff=zeros.copy(), s_hat=zeros.copy())
     s = seq.events
-    xi = seq.life_times()
-    sq = np.concatenate(([0.0], np.cumsum(xi * xi)))
+    sq = seq.life_time_square_prefix()
     last = max(len(s) - 1, 0)
 
     le = np.searchsorted(s, n * (grid - h), side="right")

@@ -36,15 +36,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .filtered import s_hat, window_estimate_series
 from .presets import DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig,
                       simulate_compound, simulate_renewal, substream)
 from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
-                     mu_le_theory, mu_ri_theory, s_function, shark_fin,
-                     sigma2_ri_theory, simulate_L_paths)
+                     mu_le_theory, mu_ri_theory, normal_cdf, s_function,
+                     shark_fin, sigma2_ri_theory, simulate_L_paths)
 
 __all__ = [
     "LabReport",
@@ -89,7 +88,7 @@ def ks_statistic_normal(x) -> float:
     n = x.size
     if n == 0:
         raise ValueError("KS statistic needs a non-empty sample")
-    cdf = ndtr(x)
+    cdf = normal_cdf(x)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
 
@@ -198,6 +197,16 @@ def _snap_probes(cfg: WindowConfig, h: float, probes) -> np.ndarray:
     return np.array(sorted(set(out)))
 
 
+def _snap_change_point(model: ChangePointModel, cfg: WindowConfig,
+                       report: LabReport) -> ChangePointModel:
+    """The model with c moved to the nearest grid node, noted in the report."""
+    c = cfg.snap(model.c)
+    if c == model.c:
+        return model
+    report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
+    return replace(model, c=c)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -288,12 +297,9 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
         return report
     grid_step = h / 30 if grid_step is None else grid_step
     cfg = WindowConfig(model.T, (h,), grid_step)
-    c = cfg.snap(model.c)
-    if c != model.c:
-        report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
-        model = ChangePointModel(model.phi1, model.phi2, c, model.T, model.n)
+    model = _snap_change_point(model, cfg, report)
     if probes is None:
-        probes = [c - h / 2, c, c + h / 2]
+        probes = [model.c - h / 2, model.c, model.c + h / 2]
     probes = _snap_probes(cfg, h, probes)
     n_ref = 4 * n_reps if n_ref is None else n_ref
 
@@ -361,10 +367,7 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
     report = LabReport("window_lln", seed, n_levels)
     grid_step = h / 30 if grid_step is None else grid_step
     cfg = WindowConfig(model.T, (h,), grid_step)
-    c = cfg.snap(model.c)
-    if c != model.c:
-        report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
-        model = ChangePointModel(model.phi1, model.phi2, c, model.T, model.n)
+    model = _snap_change_point(model, cfg, report)
     grid = cfg.grid(h)
     p1 = TheoryParams.from_model(model, h, n=1)
     rate_ri = 1.0 / mu_ri_theory(grid, p1)
@@ -411,10 +414,7 @@ def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
     report = LabReport("estimator_consistency", seed, n_levels)
     grid_step = h / 30 if grid_step is None else grid_step
     cfg = WindowConfig(model.T, (h,), grid_step)
-    c = cfg.snap(model.c)
-    if c != model.c:
-        report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
-        model = ChangePointModel(model.phi1, model.phi2, c, model.T, model.n)
+    model = _snap_change_point(model, cfg, report)
     grid = cfg.grid(h)
     p1 = TheoryParams.from_model(model, h, n=1)
     mu_ri = mu_ri_theory(grid, p1)

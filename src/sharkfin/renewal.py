@@ -217,9 +217,28 @@ class EventSequence:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _life_sq_prefix(self) -> np.ndarray:
+        # one (N+1) buffer: [0, xi_1, ..., xi_N], squared and summed in place,
+        # so this path never materialises the life times themselves
+        s = self.events
+        out = np.empty(s.size + 1)
+        out[0] = 0.0
+        if s.size:
+            out[1] = s[0]
+            np.subtract(s[1:], s[:-1], out=out[2:])
+        np.multiply(out, out, out=out)
+        np.cumsum(out, out=out)
+        out.flags.writeable = False
+        return out
+
     def life_times(self) -> np.ndarray:
         """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1."""
         return self._life
+
+    def life_time_square_prefix(self) -> np.ndarray:
+        """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1."""
+        return self._life_sq_prefix
 
     def count_at(self, t: float) -> int:
         """N_t, the number of events in (0, t]."""

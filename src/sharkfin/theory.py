@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .renewal import ChangePointModel, ConfigurationError, WindowConfig, substream
 from .series import StatisticSeries
@@ -285,10 +284,17 @@ def distortion(t, p: TheoryParams):
 # detection probability
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
-    """Standard normal distribution function (scipy's `ndtr`)."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
+    """Standard normal distribution function 0.5*erfc(-x/sqrt(2)).
+
+    The erfc form keeps its relative accuracy deep in the lower tail.  A
+    scalar gives a float, an array a float64 array of the same shape.
+    """
+    out = 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return float(out) if np.ndim(x) == 0 else out.astype(float)
 
 
 def detection_bound(Q: float, p: TheoryParams) -> float:

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +167,19 @@ def test_theory_default_reproduces_strong_change_curve(tmp_path):
     assert np.abs(lam).max() == pytest.approx(50.7796, abs=5e-4)
 
 
+# sha256 of the default theory.csv (SHARK_WEST at h = 150, delta = h/50)
+_THEORY_CSV_SHA256 = "eea85ce8c83445c7dad0f9e28abf87762ed21f4c217ce45f28e809754fd9ef1e"
+
+
+def test_theory_defaults_write_identical_csv(tmp_path):
+    assert run("theory", "--out-dir", tmp_path / "default") == 0
+    assert run("theory", "--p1", 1, "--l1", 1, "--p2", 1, "--l2", 20, "--c", 500,
+               "--T", 1000, "--h", 150, "--n", 1, "--out-dir", tmp_path / "flags") == 0
+    body = (tmp_path / "default" / "theory.csv").read_bytes()
+    assert body == (tmp_path / "flags" / "theory.csv").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == _THEORY_CSV_SHA256
+
+
 def test_theory_flat_model(tmp_path):
     assert run("theory", "--p2", 1, "--l2", 1, "--out-dir", tmp_path) == 0
     data = read_csv(tmp_path / "theory.csv")
@@ -201,3 +219,20 @@ def test_config_file_with_flag_override(tmp_path):
     head_b = (out_b / "events.txt").read_text().splitlines()[0]
     assert head_a == "# horizon=50.0"
     assert head_b == "# horizon=25.0"
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # every CLI command pays the package import; it must stay numpy-only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, sharkfin; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.') or m == 'concurrent.futures.process'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,164 @@
+"""Property tests of the vectorised window estimators.
+
+`window_estimate_series` works with partial sums over the whole sequence
+(event times for the life-time sums, the cached squared life-time prefix
+for the sums of squares); the scalar `window_stats_left/right` and
+`s_hat` sum the life times of one window directly.  Both must agree on
+every count exactly and on every estimate up to the rounding error of
+the prefix sums, which the tolerances below bound from the data.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sharkfin.detector import ThresholdTable, detect
+from sharkfin.filtered import (s_hat, window_estimate_series, window_stats_left,
+                               window_stats_right)
+from sharkfin.presets import SHARK_EAST, SHARK_WEST
+from sharkfin.renewal import (EventSequence, RenewalSpec, simulate_compound,
+                              simulate_renewal)
+
+EPS = np.finfo(float).eps
+T = 12.0
+STEP = 0.25   # dyadic, so grid nodes and window edges n*(t +- h) are exact
+
+
+def old_square_prefix(seq):
+    """The per-call expression the cached prefix replaced."""
+    xi = seq.life_times()
+    return np.concatenate(([0.0], np.cumsum(xi * xi)))
+
+
+@st.composite
+def sequences(draw):
+    """Event sequences on (0, n*T] mixing a gamma renewal sample (shape 1/20,
+    1 or 20; from dense to so sparse that windows hold 0, 1 or 2 events)
+    with events placed exactly on grid-node multiples, i.e. on window edges."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    h = draw(st.sampled_from([0.5, 1.0, 2.0, 3.75]))
+    shape = draw(st.sampled_from([1 / 20, 1.0, 20.0]))
+    mean_life = n * draw(st.sampled_from([0.02, 0.3, 3.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    horizon = n * T
+    sample = simulate_renewal(RenewalSpec.gamma(shape, shape / mean_life),
+                              horizon, seed).events
+    nodes = np.arange(1, int(T / STEP) + 1) * STEP
+    on_edges = n * nodes[draw(st.lists(st.integers(0, nodes.size - 1),
+                                       max_size=12, unique=True))]
+    events = np.union1d(sample, on_edges)
+    return EventSequence(events, horizon), h, n
+
+
+def estimate_tolerances(seq, lo, hi):
+    """Rounding bounds of one window half with events (lo, hi] by count index.
+
+    The mean telescopes to one difference of event times in the vectorised
+    path and is a sum of cnt-1 positive life times in the scalar path, so
+    the two agree to about cnt ulps.  The vectorised sum of squares is a
+    difference of two prefix sums over up to N squared life times, so its
+    error scales with N ulps of the prefix at the window's right end.
+    """
+    cnt = hi - lo
+    m_rtol = 4.0 * (cnt + 2) * EPS
+    prefix = seq.life_time_square_prefix()
+    v_atol = 16.0 * len(seq) * EPS * prefix[hi] / max(cnt - 2, 1)
+    return m_rtol, v_atol
+
+
+def check_against_oracle(seq, h, n):
+    grid = np.arange(h, T - h + STEP / 2, STEP)
+    est = window_estimate_series(seq, grid, h, n)
+    for j, t in enumerate(grid):
+        term_gap = 0.0
+        for side, ws, count, mean, var, (a, b) in (
+                ("right", window_stats_right(seq, t, h, n), est.count_right[j],
+                 est.mean_right[j], est.var_right[j], (t, t + h)),
+                ("left", window_stats_left(seq, t, h, n), est.count_left[j],
+                 est.mean_left[j], est.var_left[j], (t - h, t))):
+            lo, hi = seq.count_at(n * a), seq.count_at(n * b)
+            assert count == ws.count == hi - lo, (side, t)
+            m_rtol, v_atol = estimate_tolerances(seq, lo, hi)
+            if ws.count <= 1:
+                assert mean == ws.mean_hat == 0.0
+            else:
+                assert abs(mean - ws.mean_hat) <= m_rtol * ws.mean_hat, (side, t)
+            if ws.count <= 2:
+                assert var == ws.var_hat == 0.0
+            else:
+                assert abs(var - ws.var_hat) <= v_atol, (side, t)
+            if ws.count > 2:
+                # error of v/m^3 from the bounds on v and m
+                term = ws.var_hat / ws.mean_hat**3
+                term_gap += v_atol / ws.mean_hat**3 + term * (3.5 * m_rtol)
+        ref = s_hat(seq, t, h, n)
+        assert abs(est.s_hat[j]**2 - ref**2) <= n * h * term_gap + 8 * EPS * ref**2, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sequences())
+def test_vectorised_estimators_match_scalar_oracle(case):
+    check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("events, h, n, counts", [
+    # every event on a window edge; windows hold 0, 1 or 2 events
+    ([1.0, 2.0, 4.0, 4.5, 9.0, 11.0], 1.0, 1, {0, 1, 2}),
+    ([2.0, 4.0, 8.0, 9.0, 18.0], 1.0, 2, {0, 1, 2}),
+    ([3.0, 3.25, 3.5, 6.0, 6.5, 7.0, 7.25], 0.5, 1, {0, 1, 2}),
+    ([], 2.0, 1, {0}),
+    ([5.0], 2.0, 1, {0, 1}),
+])
+def test_sparse_windows_on_edges_match_oracle(events, h, n, counts):
+    seq = EventSequence(np.array(events, dtype=float), n * T)
+    check_against_oracle(seq, h, n)
+    est = window_estimate_series(seq, np.arange(h, T - h + STEP / 2, STEP), h, n)
+    assert set(np.concatenate([est.count_left, est.count_right]).tolist()) == counts
+
+
+# ---------------------------------------------------------------------------
+# the cached squared life-time prefix
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sequences())
+def test_square_prefix_is_bit_identical_to_per_call_expression(case):
+    seq, _, _ = case
+    fresh = EventSequence(seq.events, seq.horizon)
+    got = fresh.life_time_square_prefix()
+    assert got.shape == (len(seq) + 1,)
+    assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
+    assert not got.flags.writeable
+    assert fresh.life_time_square_prefix() is got
+
+
+@pytest.mark.parametrize("events", [[], [0.75], [0.75, 2.0], [1e-300, 1e-10, 3.0]])
+def test_square_prefix_small_sequences(events):
+    seq = EventSequence(np.array(events, dtype=float), 5.0)
+    got = seq.life_time_square_prefix()
+    assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
+
+
+@pytest.mark.parametrize("model", [SHARK_WEST, SHARK_EAST], ids=["west", "east"])
+def test_detect_does_not_depend_on_prefix_cache(model):
+    h_set = (50.0, 100.0, 150.0)
+    table = ThresholdTable(alpha=0.05, h_set=h_set, T=1000.0, grid_step=5.0,
+                           n_sims=1000, seed=0, Q=3.0,
+                           per_h_max_quantiles={h: 3.0 for h in h_set})
+    events = simulate_compound(model.with_scale(2), seed=11).events
+    cold = EventSequence(events, 2000.0)
+    warm = EventSequence(events, 2000.0)
+    warm.life_time_square_prefix()
+    old = EventSequence(events, 2000.0)
+    # the per-call expression the prefix replaced, planted in the cache
+    old.__dict__["_life_sq_prefix"] = old_square_prefix(old)
+    results = [detect(seq, 1000.0, 2, h_set, table) for seq in (cold, warm, old)]
+    for res in results[1:]:
+        assert res.global_max == results[0].global_max
+        assert res.change_points == results[0].change_points
+        for h in h_set:
+            a, b = results[0].per_h_series[h], res.per_h_series[h]
+            assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+            assert np.array_equal(a.valid, b.valid)
+    assert results[0].reject

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,8 +42,7 @@ def test_ks_2samp_matches_bruteforce():
 
 def test_ks_normal_statistic():
     x = np.array([-1.0, 0.0, 1.0])
-    from scipy.special import ndtr
-    cdf = ndtr(np.sort(x))
+    cdf = [float(mpmath.ncdf(v)) for v in np.sort(x)]
     expected = max(max((i + 1) / 3 - c for i, c in enumerate(cdf)),
                    max(c - i / 3 for i, c in enumerate(cdf)))
     assert ks_statistic_normal(x) == pytest.approx(expected)
@@ -69,6 +69,21 @@ def test_insufficient_replicates_fail_with_note():
     assert any("insufficient" in note for note in rep.notes)
     rep = check_alternative_limit(SHARK_WEST, 150.0, (1, 4), n_reps=1, seed=0)
     assert not rep.passed and rep.notes
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    (check_alternative_limit, dict(n_reps=4, n_ref=8)),
+    (check_window_lln, dict(n_reps=1)),
+    (check_estimator_consistency, dict(n_reps=1)),
+], ids=["alternative_limit", "window_lln", "estimator_consistency"])
+def test_off_grid_change_point_is_snapped_with_note(check, kwargs):
+    off = ChangePointModel(DISTORTION_A.phi1, DISTORTION_A.phi2, 501.0, 1000.0)
+    snapped = check(off, 150.0, (1, 2), seed=3, grid_step=5.0, **kwargs)
+    on_grid = check(DISTORTION_A, 150.0, (1, 2), seed=3, grid_step=5.0, **kwargs)
+    assert snapped.notes[0] == "change point snapped to grid: 501.0 -> 500.0"
+    assert snapped.notes[1:] == on_grid.notes
+    assert snapped.metrics == on_grid.metrics
+    assert snapped.details == on_grid.details
 
 
 # ---------------------------------------------------------------------------
