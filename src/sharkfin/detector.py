@@ -31,6 +31,7 @@ from .series import StatisticSeries
 from .theory import brownian_blocks
 
 __all__ = [
+    "TABLE_VERSION",
     "ThresholdTable",
     "ChangePointEstimate",
     "DetectionResult",
@@ -42,12 +43,19 @@ __all__ = [
 ]
 
 
+# Version of the threshold simulation and of the table file.  Raise it
+# whenever a change to the simulation can change Q or the quantiles, so a
+# cached table written before that change is never reused.
+TABLE_VERSION = 1
+
+
 def threshold_cache_key(T, h_set, grid_step, alpha, n_sims, seed) -> str:
     """Content hash identifying a threshold configuration for caching."""
     blob = json.dumps({"T": float(T), "alpha": float(alpha),
                        "grid_step": float(grid_step),
                        "h_set": sorted(float(h) for h in h_set),
-                       "n_sims": int(n_sims), "seed": int(seed)},
+                       "n_sims": int(n_sims), "seed": int(seed),
+                       "version": TABLE_VERSION},
                       sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -114,7 +122,7 @@ class ThresholdTable:
                                    self.alpha, self.n_sims, self.seed)
 
     def to_json(self) -> str:
-        d = dict(self.config_dict(), Q=self.Q,
+        d = dict(self.config_dict(), Q=self.Q, version=TABLE_VERSION,
                  per_h_max_quantiles={repr(h): q for h, q in
                                       sorted(self.per_h_max_quantiles.items())})
         return json.dumps(d, sort_keys=True, indent=2)
@@ -142,6 +150,8 @@ class ThresholdTable:
 
         if not isinstance(d, dict):
             raise ConfigurationError(f"threshold table {path}: not a JSON object")
+        require(d.get("version") == TABLE_VERSION, "version",
+                f"must be {TABLE_VERSION}, got {d.get('version')!r}; rebuild the table")
         table = cls(alpha=field("alpha", float),
                     h_set=field("h_set", lambda v: tuple(sorted(float(h) for h in v))),
                     T=field("T", float), grid_step=field("grid_step", float),

@@ -27,6 +27,9 @@ faces only the final-level KS gate, never a trend requirement.
 Every experiment is reproducible bit-exactly from (experiment id, seed);
 probe times are fixed and seed-independent so reports are comparable
 across runs.  Trend criteria always use at least three scales.
+Change-point replicates that are read only at probe windows are
+simulated up to the last time a window reads; the events there are
+those of the full-horizon run, bit for bit (see `_observed`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filtered import s_hat, window_estimate_series
+from .filtered import window_estimate_series
 from .presets import DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig,
                       simulate_compound, simulate_renewal, substream)
@@ -207,6 +210,17 @@ def _snap_change_point(model: ChangePointModel, cfg: WindowConfig,
     return replace(model, c=c)
 
 
+def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePointModel:
+    """The model cut at the last time a window (t-h, t+h] around a probe reads.
+
+    The cut keeps (0, c], so the phi1 segment is untouched, and the phi2
+    segment draws from its own substream with a skip-ahead that depends
+    on n*c only.  Chunked draws are prefix-consistent, so the events in
+    (0, n*T'] equal those of the full-horizon simulation bit for bit.
+    """
+    return replace(model, T=min(model.T, max(model.c, float(probes.max()) + h)))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -308,6 +322,7 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     probe_col = np.searchsorted(grid, probes)
     ref = ref_paths[:, probe_col]
     delta_t = np.array([distortion(t, p1) for t in probes])
+    observed = _observed(model, probes, h)
 
     ks_gamma, ks_g = [], []
     for li, n in enumerate(n_levels):
@@ -318,13 +333,11 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
         gam = np.empty((n_reps, probes.size))
         gcen = np.full((n_reps, probes.size), np.nan)
         for r in range(n_reps):
-            seq = simulate_compound(model.with_scale(n), seed, stream=(li, r))
-            diffs = _probe_count_diffs(seq.events, probes, h, n)
-            gam[r] = (diffs - m_t) / s_t
-            for j, t in enumerate(probes):
-                sh = s_hat(seq, t, h, n)
-                if sh > 0.0:
-                    gcen[r, j] = diffs[j] / sh - delta_t[j] * fin_t[j]
+            seq = simulate_compound(observed.with_scale(n), seed, stream=(li, r))
+            est = window_estimate_series(seq, probes, h, n)
+            gam[r] = (est.count_diff - m_t) / s_t
+            ok = est.s_hat > 0.0
+            gcen[r, ok] = est.count_diff[ok] / est.s_hat[ok] - delta_t[ok] * fin_t[ok]
         ks_gamma.append([ks_statistic_2samp(gam[:, j], ref[:, j])
                          for j in range(probes.size)])
         ks_g.append([ks_statistic_2samp(gcen[~np.isnan(gcen[:, j]), j],
@@ -477,9 +490,10 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     mix = np.array([sigma2_ri_theory(t, p1) for t in probes])
     alt = np.array([sigma2_ri_theory(t, p1, sum_cross_term=True) for t in probes])
 
+    observed = _observed(model, probes, h).with_scale(1)
     acc = np.zeros(probes.size)
     for r in range(n_reps):
-        seq = simulate_compound(model.with_scale(1), seed, stream=(r,))
+        seq = simulate_compound(observed, seed, stream=(r,))
         acc += window_estimate_series(seq, probes, h, 1).var_right
     emp = acc / n_reps
 

@@ -135,6 +135,21 @@ def test_detect_rejects_nan_threshold_table(tmp_path, table_file, capsys):
     assert not (tmp_path / "detection.json").exists()
 
 
+def test_detect_rejects_unversioned_threshold_table(tmp_path, table_file, capsys):
+    # a table written before tables were versioned may come from other code
+    d = json.loads(table_file.read_text())
+    del d["version"]
+    old = tmp_path / "old_table.json"
+    old.write_text(json.dumps(d))
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 4,
+               "--out-dir", tmp_path) == 0
+    assert run("detect", "--input", tmp_path / "events.txt", "--table", old,
+               "--h", 150, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "old_table.json" in err and "version" in err
+    assert not (tmp_path / "detection.json").exists()
+
+
 def test_detect_missing_input(tmp_path, capsys):
     assert run("detect", "--out-dir", tmp_path) != 0
     assert "input" in capsys.readouterr().err

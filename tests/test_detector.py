@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sharkfin.detector import (ThresholdTable, _h0_block, detect,
+from sharkfin import detector
+from sharkfin.detector import (TABLE_VERSION, ThresholdTable, _h0_block, detect,
                                estimate_change_points, merge_across_windows,
                                simulate_threshold, threshold_cache_key)
 from sharkfin.presets import SHARK_WEST
@@ -147,6 +150,34 @@ def test_threshold_table_roundtrip(tmp_path):
         == table.cache_key()
 
 
+def test_threshold_table_version(monkeypatch):
+    table = simulate_threshold(1000.0, [150.0], 5.0, 0.05, 500, seed=12)
+    assert json.loads(table.to_json())["version"] == TABLE_VERSION
+    # the key changes with the version, so a file cached by another version
+    # is never found
+    key = table.cache_key()
+    monkeypatch.setattr(detector, "TABLE_VERSION", TABLE_VERSION + 1)
+    assert table.cache_key() != key
+
+
+@pytest.mark.parametrize("version, shown", [(None, "None"), (TABLE_VERSION + 1,
+                                                             repr(TABLE_VERSION + 1))],
+                         ids=["missing", "other"])
+def test_threshold_table_load_rejects_other_version(tmp_path, version, shown):
+    table = simulate_threshold(1000.0, [150.0], 5.0, 0.05, 500, seed=12)
+    d = json.loads(table.to_json())
+    if version is None:
+        del d["version"]
+    else:
+        d["version"] = version
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigurationError) as err:
+        ThresholdTable.load(path)
+    assert str(path) in str(err.value)
+    assert f"version must be {TABLE_VERSION}, got {shown}" in str(err.value)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("Q", float("nan"), "Q must be finite"),
     ("alpha", 1.5, "alpha must lie in (0, 1)"),
@@ -224,6 +255,63 @@ def test_estimates_pairwise_separated_property():
         found = estimate_change_points(make_series(grid, values), Q=2.0, h=100.0)
         gaps = np.diff(found)
         assert np.all(gaps >= 100.0)
+
+
+# Grid steps and window sizes below are multiples of 1/4, so grid times,
+# t* +- h and differences of grid times are all exact.
+@st.composite
+def statistic_series(draw):
+    step = draw(st.sampled_from([0.25, 1.0, 5.0]))
+    size = draw(st.integers(1, 120))
+    grid = draw(st.integers(0, 40)) * step + np.arange(size) * step
+    values = np.array(draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False), min_size=size, max_size=size)))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    return make_series(grid, values, valid, step=step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=statistic_series(), h_steps=st.integers(1, 30),
+       Q=st.floats(0.0, 8.0))
+def test_estimates_property(series, h_steps, Q):
+    h = h_steps * series.grid_step
+    found = estimate_change_points(series, Q, h)
+    assert found == sorted(found)
+    assert all(b - a >= h for a, b in zip(found, found[1:]))
+    for t in found:
+        (idx,) = np.flatnonzero(series.grid == t)
+        assert series.valid[idx] and abs(series.values[idx]) > Q
+    # the search stops only when every valid node above Q is retired
+    for t, v, ok in zip(series.grid, series.values, series.valid):
+        if ok and abs(v) > Q:
+            assert any(abs(t - s) < h for s in found)
+
+
+@st.composite
+def per_window_estimates(draw):
+    """Estimates of up to four window sizes, each list at least h apart,
+    as `estimate_change_points` returns them."""
+    hs = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4, unique=True))
+    out = {}
+    for h in hs:
+        gaps = draw(st.lists(st.integers(0, 300), max_size=8))
+        start = draw(st.integers(0, 500))
+        out[float(h)] = [float(start + i * h + sum(gaps[:i + 1]))
+                         for i in range(len(gaps))]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(per_h=per_window_estimates())
+def test_merge_property(per_h):
+    merged = merge_across_windows(per_h)
+    assert merged == sorted(merged)
+    for i, (a, ha) in enumerate(merged):
+        assert a in per_h[ha]
+        for b, hb in merged[i + 1:]:
+            assert abs(a - b) >= min(ha, hb)
+    finest = min(per_h)
+    assert [t for t, h in merged if h == finest] == per_h[finest]
 
 
 # ---------------------------------------------------------------------------

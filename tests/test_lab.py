@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from sharkfin import lab
 from sharkfin.filtered import s_hat
 from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           check_estimator_consistency, check_window_lln,
@@ -153,6 +155,58 @@ def test_corollary_case_estimated_statistic_matches_plain_limit():
     ref_c = ref[:, np.searchsorted(grid, 500.0)]
     assert ks_statistic_2samp(np.asarray(vals), ref_c) \
         < ks_critical_2samp(0.01, 300, 1200)
+
+
+# ---------------------------------------------------------------------------
+# horizon cut: the lab reads only its probe windows
+
+
+def run_cut_and_full(monkeypatch, check, model, *args, **kwargs):
+    """Reports with the horizon cut and without it, and the simulated horizons."""
+    horizons = []
+
+    def recording(m, seed, stream=()):
+        horizons.append(m.T)
+        return simulate_compound(m, seed, stream)
+
+    with monkeypatch.context() as m:
+        m.setattr(lab, "simulate_compound", recording)
+        cut = check(model, *args, **kwargs).to_json_dict()
+    with monkeypatch.context() as m:
+        m.setattr(lab, "_observed", lambda model, probes, h: model)
+        full = check(model, *args, **kwargs).to_json_dict()
+    return cut, full, set(horizons)
+
+
+@pytest.mark.parametrize("model, probes, cut_T", [
+    (DISTORTION_A, None, 725.0),                      # c + h/2 + h
+    (replace(DISTORTION_A, c=502.5), None, 725.0),    # off-grid c, snapped to 500
+    (replace(DISTORTION_A, c=800.0), None, 1000.0),   # c + h/2 clamped to T - h
+    (DISTORTION_B, [200.0, 300.0], 500.0),            # all left of c - h: cut at c
+], ids=["distortion_a", "off_grid_c", "clamped", "left_of_window"])
+@pytest.mark.parametrize("seed", [2, 11])
+def test_alternative_limit_cut_equals_full_horizon(monkeypatch, model, probes,
+                                                   cut_T, seed):
+    cut, full, horizons = run_cut_and_full(
+        monkeypatch, check_alternative_limit, model, 150.0, (1, 2), n_reps=6,
+        seed=seed, grid_step=5.0, probes=probes, n_ref=12)
+    assert horizons == {cut_T}
+    assert cut == full
+
+
+@pytest.mark.parametrize("model, probes, cut_T", [
+    (DISTORTION_A, None, 625.0),                      # last probe c - h/6
+    (replace(DISTORTION_A, c=501.3), [400.0, 501.3], 651.3),
+    (replace(DISTORTION_A, c=875.0), None, 1000.0),   # last window ends at T
+], ids=["distortion_a", "off_grid_c", "window_at_T"])
+@pytest.mark.parametrize("seed", [2, 11])
+def test_window_variance_forms_cut_equals_full_horizon(monkeypatch, model, probes,
+                                                       cut_T, seed):
+    cut, full, horizons = run_cut_and_full(
+        monkeypatch, check_window_variance_forms, model, 150.0, seed=seed,
+        n_reps=20, probes=probes)
+    assert horizons == {cut_T}
+    assert cut == full
 
 
 # ---------------------------------------------------------------------------

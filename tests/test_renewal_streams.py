@@ -8,6 +8,7 @@ and is compared with the full path by two-sample KS tests.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from sharkfin import renewal
 from sharkfin.lab import ks_critical_2samp, ks_statistic_2samp
-from sharkfin.presets import (DISTORTION_A, DISTORTION_B, SHARK_EAST,
-                              SHARK_WEST, SHARK_WEST_INVERTED)
+from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B, SHARK_EAST,
+                              SHARK_EAST_INVERTED, SHARK_WEST, SHARK_WEST_INVERTED)
 from sharkfin.renewal import (ChangePointModel, RenewalSpec, register_sampler,
                               simulate_compound, simulate_renewal, substream)
 
@@ -163,6 +164,46 @@ def test_compound_without_skip_is_bit_identical():
     assert renewal._skip_count(SHARK_WEST_INVERTED.phi2, 500.0) == 0
     assert same_bits(simulate_compound(SHARK_WEST_INVERTED, seed=2).events,
                      oracle_simulate_compound(SHARK_WEST_INVERTED, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# horizon cut: a model cut at T' gives the full run's events up to n*T'
+
+
+def assert_cut_is_prefix(model, seed, stream=()):
+    full = simulate_compound(model, seed, stream).events
+    for T_cut in sorted({model.c, model.c + DEFAULT_H / 2, model.c + 1.5 * DEFAULT_H,
+                         model.T}):
+        T_cut = min(T_cut, model.T)
+        cut = simulate_compound(replace(model, T=T_cut), seed, stream)
+        assert cut.horizon == model.n * T_cut
+        assert same_bits(cut.events, full[full <= model.n * T_cut])
+
+
+@pytest.mark.parametrize("model", [SHARK_WEST, SHARK_EAST, SHARK_WEST_INVERTED,
+                                   SHARK_EAST_INVERTED, DISTORTION_A, DISTORTION_B],
+                         ids=["west", "east", "west_inverted", "east_inverted",
+                              "distortion_a", "distortion_b"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_horizon_cut_is_prefix_of_full_run(model, n):
+    for seed in (0, 1):
+        assert_cut_is_prefix(model.with_scale(n), seed, stream=(n, 5))
+
+
+def test_horizon_cut_is_prefix_for_generic_second_segment():
+    # the second law understates its mean 10x, so both runs draw many
+    # chunks and their chunk sizes differ
+    register_sampler("streams_cut_understated", lambda rng, size: rng.gamma(2.0, 0.05, size))
+    for phi2 in (RENEWAL_SPECS["uniform"],
+                 RenewalSpec.generic("streams_cut_understated", 1.0, 0.05)):
+        model = ChangePointModel(RenewalSpec.gamma(1, 1), phi2, c=500.0, T=1000.0, n=2)
+        for seed in range(2):
+            assert_cut_is_prefix(model, seed)
+
+
+def test_horizon_cut_is_prefix_without_skip():
+    assert renewal._skip_count(SHARK_WEST_INVERTED.phi2, 500.0) == 0
+    assert_cut_is_prefix(SHARK_WEST_INVERTED, seed=3)
 
 
 # ---------------------------------------------------------------------------
