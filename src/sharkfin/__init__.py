@@ -14,8 +14,7 @@ from .detector import (ChangePointEstimate, DetectionResult, ThresholdTable,
                        detect, estimate_change_points, merge_across_windows,
                        simulate_threshold, threshold_cache_key)
 from .filtered import (D_process, G_process, Gamma_process, WindowEstimateSeries,
-                       WindowStats, s_hat, window_estimate_series,
-                       window_stats_left, window_stats_right)
+                       s_hat, window_estimate_series)
 from .lab import (LabReport, check_H0_limit, check_alternative_limit,
                   check_estimator_consistency, check_window_lln,
                   check_window_variance_forms, ks_critical_2samp,
@@ -32,7 +31,6 @@ from .series import StatisticSeries, read_series_csv, write_series_csv
 from .theory import (SharkShape, TheoryParams, brownian_blocks, classify_shark,
                      detection_bound, distortion, m_function, mu_le_theory,
                      mu_ri_theory, normal_cdf, s_function, s_tilde, shark_fin,
-                     sigma2_le_theory, sigma2_ri_theory, simulate_L,
-                     simulate_L_paths)
+                     sigma2_le_theory, sigma2_ri_theory, simulate_L_paths)
 
 __version__ = "0.1.0"

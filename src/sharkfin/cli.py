@@ -37,12 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Filtered-derivative change-point analysis for renewal processes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, workers=False):
         p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
         p.add_argument("--out-dir", help="output directory (default '.')")
         p.add_argument("--config", help="JSON file with default parameter values")
-        p.add_argument("--workers", type=int,
-                       help="worker processes for Monte Carlo (default 1)")
+        if workers:
+            p.add_argument("--workers", type=int,
+                           help="worker processes for the null threshold (default 1)")
 
     p = sub.add_parser("simulate", help="simulate a renewal or change-point process")
     common(p)
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="scale factor (horizon becomes n*T)")
 
     p = sub.add_parser("threshold", help="simulate the null rejection threshold Q")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--T", type=float)
     p.add_argument("--h", type=float, nargs="+", help="window sizes")
     p.add_argument("--delta", type=float, help="grid step (default min(h)/50)")
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sims", type=int, help="null replicates (default 10000)")
 
     p = sub.add_parser("detect", help="run the multiple-filter test on an event file")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--input", help="event file (one ascending time per line)")
     p.add_argument("--table", help="threshold table JSON (default: build/cache one)")
     p.add_argument("--T", type=float, help="horizon before scaling (default horizon/n)")

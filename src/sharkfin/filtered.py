@@ -31,11 +31,8 @@ from .series import StatisticSeries, read_series_csv, write_series_csv
 from .theory import TheoryParams, m_function, s_function
 
 __all__ = [
-    "WindowStats",
     "WindowEstimateSeries",
     "StatisticSeries",
-    "window_stats_right",
-    "window_stats_left",
     "s_hat",
     "window_estimate_series",
     "D_process",
@@ -48,20 +45,6 @@ __all__ = [
 _EDGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    """Empirical life-time statistics of one window half.
-
-    mean_hat is 0 when the window holds at most one event, var_hat is 0
-    when it holds at most two; both are otherwise strictly positive
-    (life times are positive).
-    """
-
-    mean_hat: float
-    var_hat: float
-    count: int
-
-
 def _check_window(seq: EventSequence, n: int, lo_t: float, hi_t: float) -> None:
     tol = _EDGE_TOL * max(1.0, seq.horizon)
     if n * hi_t > seq.horizon + tol:
@@ -69,48 +52,6 @@ def _check_window(seq: EventSequence, n: int, lo_t: float, hi_t: float) -> None:
             f"window end {n * hi_t} exceeds event horizon {seq.horizon}")
     if n * lo_t < -tol:
         raise ValueError(f"window start {n * lo_t} lies before time zero")
-
-
-def _stats_between(seq: EventSequence, lo: int, hi: int) -> WindowStats:
-    """Stats over life times of events with (0-based count) index in (lo, hi]."""
-    count = hi - lo
-    if count <= 1:
-        return WindowStats(0.0, 0.0, count)
-    xi = seq.life_times()[lo + 1:hi]  # drop the life time straddling the left edge
-    mean = float(xi.sum() / (count - 1))
-    if count <= 2:
-        return WindowStats(mean, 0.0, count)
-    var = float(((xi - mean) ** 2).sum() / (count - 2))
-    return WindowStats(mean, var, count)
-
-
-def window_stats_right(seq: EventSequence, t: float, h: float, n: int = 1) -> WindowStats:
-    """Life-time mean/variance of the right window (nt, n(t+h)]."""
-    _check_window(seq, n, t, t + h)
-    return _stats_between(seq, seq.count_at(n * t), seq.count_at(n * (t + h)))
-
-
-def window_stats_left(seq: EventSequence, t: float, h: float, n: int = 1) -> WindowStats:
-    """Life-time mean/variance of the left window (n(t-h), nt]."""
-    _check_window(seq, n, t - h, t)
-    return _stats_between(seq, seq.count_at(n * (t - h)), seq.count_at(n * t))
-
-
-def _scaling_term(ws: WindowStats) -> float:
-    if ws.mean_hat <= 0.0 or ws.var_hat <= 0.0:
-        return 0.0
-    return ws.var_hat / ws.mean_hat**3
-
-
-def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:
-    """Estimated scaling sqrt((v_ri/m_ri^3 + v_le/m_le^3) * n * h).
-
-    A window half whose mean or variance estimate is zero contributes
-    nothing; 0.0 therefore signals that the statistic is undefined at t.
-    """
-    term = _scaling_term(window_stats_right(seq, t, h, n)) \
-        + _scaling_term(window_stats_left(seq, t, h, n))
-    return math.sqrt(term * n * h)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +118,15 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
         grid=grid, count_left=cnt_l, count_right=cnt_r,
         mean_left=mean_l, mean_right=mean_r, var_left=var_l, var_right=var_r,
         count_diff=(cnt_r - cnt_l).astype(float), s_hat=shat)
+
+
+def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:
+    """Estimated scaling sqrt((v_ri/m_ri^3 + v_le/m_le^3) * n * h) at one time t.
+
+    A window half whose mean or variance estimate is zero contributes
+    nothing; 0.0 therefore signals that the statistic is undefined at t.
+    """
+    return float(window_estimate_series(seq, np.array([float(t)]), h, n).s_hat[0])
 
 
 # ---------------------------------------------------------------------------

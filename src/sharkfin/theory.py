@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .renewal import ChangePointModel, ConfigurationError, WindowConfig, substream
-from .series import StatisticSeries
 
 __all__ = [
     "TheoryParams",
@@ -52,7 +51,6 @@ __all__ = [
     "distortion",
     "normal_cdf",
     "detection_bound",
-    "simulate_L",
     "brownian_blocks",
     "simulate_L_paths",
 ]
@@ -171,6 +169,36 @@ def classify_shark(p: TheoryParams) -> SharkShape:
 # limits of the windowed estimators
 
 
+def _window_limit(t, p: TheoryParams, right: bool, first: float, second: float,
+                  mix):
+    """Limit of a window estimator of the right window (t, t+h] or the left
+    window (t-h, t].
+
+    `first` while the window lies before c, `second` once it lies after c,
+    and mix(a, b) while it straddles c, where a and b are the expected event
+    counts of the first and second segment inside the window, both
+    multiplied by mu1*mu2.
+    """
+    def fn(tt):
+        if right:   # straddles c for t in (c-h, c]
+            before, after = tt <= p.c - p.h, tt > p.c
+            a, b = (p.c - tt) * p.mu2, (tt + p.h - p.c) * p.mu1
+        else:       # straddles c for t in (c, c+h)
+            before, after = tt <= p.c, tt >= p.c + p.h
+            a, b = (p.c + p.h - tt) * p.mu2, (tt - p.c) * p.mu1
+        mid = ~(before | after)
+        out = np.empty_like(tt)
+        out[before] = first
+        out[after] = second
+        out[mid] = mix(a[mid], b[mid])
+        return out
+    return _eval(t, fn)
+
+
+def _harmonic_mean(p: TheoryParams):
+    return lambda a, b: p.h * p.mu1 * p.mu2 / (a + b)
+
+
 def mu_ri_theory(t, p: TheoryParams):
     """Limit of the right-window life-time mean estimator.
 
@@ -178,32 +206,12 @@ def mu_ri_theory(t, p: TheoryParams):
     passed c, and in between the harmonic interpolation weighted by the
     expected event counts of the two segments.
     """
-    def fn(tt):
-        out = np.empty_like(tt)
-        left = tt <= p.c - p.h
-        right = tt > p.c
-        mid = ~(left | right)
-        out[left] = p.mu1
-        out[right] = p.mu2
-        tm = tt[mid]
-        out[mid] = p.h * p.mu1 * p.mu2 / ((p.c - tm) * p.mu2 + (tm + p.h - p.c) * p.mu1)
-        return out
-    return _eval(t, fn)
+    return _window_limit(t, p, True, p.mu1, p.mu2, _harmonic_mean(p))
 
 
 def mu_le_theory(t, p: TheoryParams):
     """Limit of the left-window life-time mean estimator (mirror of mu_ri)."""
-    def fn(tt):
-        out = np.empty_like(tt)
-        left = tt <= p.c
-        right = tt >= p.c + p.h
-        mid = ~(left | right)
-        out[left] = p.mu1
-        out[right] = p.mu2
-        tm = tt[mid]
-        out[mid] = p.h * p.mu1 * p.mu2 / ((p.c + p.h - tm) * p.mu2 + (tm - p.c) * p.mu1)
-        return out
-    return _eval(t, fn)
+    return _window_limit(t, p, False, p.mu1, p.mu2, _harmonic_mean(p))
 
 
 def _mixture_var(a, b, p: TheoryParams, sum_cross_term: bool):
@@ -227,36 +235,14 @@ def _mixture_var(a, b, p: TheoryParams, sum_cross_term: bool):
 
 def sigma2_ri_theory(t, p: TheoryParams, sum_cross_term: bool = False):
     """Limit of the right-window life-time variance estimator."""
-    def fn(tt):
-        out = np.empty_like(tt)
-        left = tt <= p.c - p.h
-        right = tt > p.c
-        mid = ~(left | right)
-        out[left] = p.sigma1_sq
-        out[right] = p.sigma2_sq
-        tm = tt[mid]
-        a = (p.c - tm) * p.mu2
-        b = (tm + p.h - p.c) * p.mu1
-        out[mid] = _mixture_var(a, b, p, sum_cross_term)
-        return out
-    return _eval(t, fn)
+    return _window_limit(t, p, True, p.sigma1_sq, p.sigma2_sq,
+                         lambda a, b: _mixture_var(a, b, p, sum_cross_term))
 
 
-def sigma2_le_theory(t, p: TheoryParams, sum_cross_term: bool = False):
+def sigma2_le_theory(t, p: TheoryParams):
     """Limit of the left-window life-time variance estimator."""
-    def fn(tt):
-        out = np.empty_like(tt)
-        left = tt <= p.c
-        right = tt >= p.c + p.h
-        mid = ~(left | right)
-        out[left] = p.sigma1_sq
-        out[right] = p.sigma2_sq
-        tm = tt[mid]
-        a = (p.c + p.h - tm) * p.mu2
-        b = (tm - p.c) * p.mu1
-        out[mid] = _mixture_var(a, b, p, sum_cross_term)
-        return out
-    return _eval(t, fn)
+    return _window_limit(t, p, False, p.sigma1_sq, p.sigma2_sq,
+                         lambda a, b: _mixture_var(a, b, p, False))
 
 
 def s_tilde(t, p: TheoryParams):
@@ -390,12 +376,3 @@ def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
                 g2 * (wp[:, mid_right] - 2.0 * wt[:, mid_right] + wc)
                 - g1 * (wc - wm[:, mid_right])) / s_right
     return grid, values
-
-
-def simulate_L(cfg: WindowConfig, p: TheoryParams, seed: int,
-               stream: Iterable[int] = ()) -> StatisticSeries:
-    """One discretised path of the Gaussian limit process on the grid."""
-    grid, values = simulate_L_paths(cfg, p, seed, 1, stream=stream)
-    return StatisticSeries(grid=grid, values=values[0],
-                           valid=np.ones(grid.size, dtype=bool),
-                           h=p.h, n=1, grid_step=cfg.grid_step)

@@ -7,13 +7,14 @@ module-scoped fixtures.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geometry import check_fin_geometry
 from sharkfin.detector import detect, simulate_threshold
-from sharkfin.filtered import s_hat
+from sharkfin.filtered import window_estimate_series
 from sharkfin.lab import (check_estimator_consistency,
                           check_window_variance_forms, ks_critical_2samp,
                           ks_critical_normal, ks_statistic_2samp,
@@ -180,14 +181,14 @@ def test_10_distributional_identity():
     p1 = TheoryParams.from_model(model, H, n=1)
     lam_c = shark_fin(C, p1.at_scale(n))
     delta_c = distortion(C, p1)
+    # the statistic at c reads no event after n(c + h), and the simulation
+    # cut there draws the same events up to that time as the full one
+    observed = replace(model.with_scale(n), T=C + H)
     vals = np.empty(500)
     for r in range(500):
-        seq = simulate_compound(model.with_scale(n), seed=555, stream=(r,))
-        ev = seq.events
-        diff = (np.searchsorted(ev, n * (C + H), side="right")
-                - 2 * np.searchsorted(ev, n * C, side="right")
-                + np.searchsorted(ev, n * (C - H), side="right"))
-        vals[r] = diff / s_hat(seq, C, H, n) - delta_c * lam_c
+        seq = simulate_compound(observed, seed=555, stream=(r,))
+        est = window_estimate_series(seq, np.array([C]), H, n)
+        vals[r] = est.count_diff[0] / est.s_hat[0] - delta_c * lam_c
     cfg = WindowConfig(T, (H,), 5.0)
     grid, ref = simulate_L_paths(cfg, p1, seed=777, n_paths=2000)
     ref_c = delta_c * ref[:, int(np.searchsorted(grid, C))]

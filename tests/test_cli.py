@@ -236,6 +236,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert head_b == "# horizon=25.0"
 
 
+@pytest.mark.parametrize("command", ["simulate", "theory", "verify"])
+def test_workers_refused_by_commands_that_do_not_read_it(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--workers", 2)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_workers_accepted_by_threshold_and_detect(tmp_path, capsys):
+    table = ("--T", 1000, "--h", 150, "--delta", 5, "--n-sims", 2000,
+             "--workers", 2, "--out-dir", tmp_path)
+    assert run("threshold", *table) == 0
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 6,
+               "--out-dir", tmp_path) == 0
+    assert run("detect", "--input", tmp_path / "events.txt", *table) == 0
+    assert "cache hit" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # cold start
 

@@ -2,10 +2,10 @@
 
 `window_estimate_series` works with partial sums over the whole sequence
 (event times for the life-time sums, the cached squared life-time prefix
-for the sums of squares); the scalar `window_stats_left/right` and
-`s_hat` sum the life times of one window directly.  Both must agree on
-every count exactly and on every estimate up to the rounding error of
-the prefix sums, which the tolerances below bound from the data.
+for the sums of squares); the definition-level oracles in `oracles.py`
+sum the life times of one window directly.  Both must agree on every
+count exactly and on every estimate up to the rounding error of the
+prefix sums, which the tolerances below bound from the data.
 """
 
 import numpy as np
@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_s_hat, brute_window_stats
 from sharkfin.detector import ThresholdTable, detect
-from sharkfin.filtered import (s_hat, window_estimate_series, window_stats_left,
-                               window_stats_right)
+from sharkfin.filtered import window_estimate_series
 from sharkfin.presets import SHARK_EAST, SHARK_WEST
 from sharkfin.renewal import (EventSequence, RenewalSpec, simulate_compound,
                               simulate_renewal)
@@ -55,7 +55,7 @@ def estimate_tolerances(seq, lo, hi):
     """Rounding bounds of one window half with events (lo, hi] by count index.
 
     The mean telescopes to one difference of event times in the vectorised
-    path and is a sum of cnt-1 positive life times in the scalar path, so
+    path and is a sum of cnt-1 positive life times in the oracle, so
     the two agree to about cnt ulps.  The vectorised sum of squares is a
     difference of two prefix sums over up to N squared life times, so its
     error scales with N ulps of the prefix at the window's right end.
@@ -73,10 +73,10 @@ def check_against_oracle(seq, h, n):
     for j, t in enumerate(grid):
         term_gap = 0.0
         for side, ws, count, mean, var, (a, b) in (
-                ("right", window_stats_right(seq, t, h, n), est.count_right[j],
-                 est.mean_right[j], est.var_right[j], (t, t + h)),
-                ("left", window_stats_left(seq, t, h, n), est.count_left[j],
-                 est.mean_left[j], est.var_left[j], (t - h, t))):
+                ("right", brute_window_stats(seq.events, n * t, n * (t + h)),
+                 est.count_right[j], est.mean_right[j], est.var_right[j], (t, t + h)),
+                ("left", brute_window_stats(seq.events, n * (t - h), n * t),
+                 est.count_left[j], est.mean_left[j], est.var_left[j], (t - h, t))):
             lo, hi = seq.count_at(n * a), seq.count_at(n * b)
             assert count == ws.count == hi - lo, (side, t)
             m_rtol, v_atol = estimate_tolerances(seq, lo, hi)
@@ -92,7 +92,7 @@ def check_against_oracle(seq, h, n):
                 # error of v/m^3 from the bounds on v and m
                 term = ws.var_hat / ws.mean_hat**3
                 term_gap += v_atol / ws.mean_hat**3 + term * (3.5 * m_rtol)
-        ref = s_hat(seq, t, h, n)
+        ref = brute_s_hat(seq.events, t, h, n)
         assert abs(est.s_hat[j]**2 - ref**2) <= n * h * term_gap + 8 * EPS * ref**2, t
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_s_hat, brute_window_stats
 from sharkfin.filtered import (D_process, G_process, Gamma_process,
-                               WindowStats, read_series_csv, s_hat,
-                               window_estimate_series, window_stats_left,
-                               window_stats_right, write_series_csv)
+                               read_series_csv, s_hat, window_estimate_series,
+                               write_series_csv)
 from sharkfin.presets import DISTORTION_A
 from sharkfin.renewal import (ChangePointModel, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal)
@@ -14,67 +14,65 @@ from sharkfin.series import StatisticSeries
 from sharkfin.theory import TheoryParams, distortion, shark_fin
 
 
-def brute_window_stats(events, lo_t, hi_t):
-    """Definition-level oracle: life times of the window's events, first one
-    (the one straddling the left edge) excluded."""
-    events = list(events)
-    life = np.diff([0.0] + events)
-    inside = [i for i, s in enumerate(events) if lo_t < s <= hi_t]
-    count = len(inside)
-    kept = [life[i] for i in inside[1:]]
-    mean = sum(kept) / len(kept) if count > 1 else 0.0
-    var = (sum((x - mean) ** 2 for x in kept) / (len(kept) - 1)
-           if count > 2 else 0.0)
-    return WindowStats(mean, var, count)
-
-
 def test_window_stats_right_hand_case():
-    seq = EventSequence(np.array([1.0, 2.0, 3.0, 4.0, 6.0]), 6.0)
-    ws = window_stats_right(seq, t=0.5, h=4.0)
-    assert ws.count == 4
-    assert ws.mean_hat == 1.0          # ((2-1)+(3-2)+(4-3))/3
-    assert ws.var_hat == 0.0           # all included life times equal
+    seq = EventSequence(np.array([5.0, 6.0, 7.0, 8.0, 10.0]), 10.0)
+    est = window_estimate_series(seq, np.array([4.5]), h=4.0)
+    assert est.count_right[0] == 4
+    assert est.mean_right[0] == 1.0    # ((6-5)+(7-6)+(8-7))/3
+    assert est.var_right[0] == 0.0     # all included life times equal
+    assert est.count_left[0] == 0      # (0.5, 4.5] holds no event
 
 
 def test_window_stats_empty_window():
     seq = EventSequence(np.array([1.0, 2.0]), 10.0)
-    assert window_stats_right(seq, t=5.0, h=2.0) == WindowStats(0.0, 0.0, 0)
-    assert window_stats_left(seq, t=9.0, h=2.0) == WindowStats(0.0, 0.0, 0)
+    est = window_estimate_series(seq, np.array([1.0, 2.0, 5.0, 8.0]), h=1.0)
+    assert est.count_left.tolist() == [1, 1, 0, 0]
+    assert est.count_right.tolist() == [1, 0, 0, 0]
+    # windows with at most one event fall back to the zero convention
+    for arr in (est.mean_left, est.mean_right, est.var_left, est.var_right,
+                est.s_hat):
+        assert np.all(arr == 0.0)
 
 
 def test_window_stats_left_hand_case():
     seq = EventSequence(np.array([1.0, 2.0, 3.0, 4.0]), 4.0)
-    ws = window_stats_left(seq, t=2.0, h=2.0)
-    assert ws.count == 2
-    assert ws.mean_hat == 1.0          # only the second life time enters
-    assert ws.var_hat == 0.0           # count <= 2 convention
+    est = window_estimate_series(seq, np.array([2.0]), h=2.0)
+    assert est.count_left[0] == 2
+    assert est.mean_left[0] == 1.0     # only the second life time enters
+    assert est.var_left[0] == 0.0      # count <= 2 convention
 
 
 def test_window_stats_out_of_range():
     seq = EventSequence(np.array([1.0]), 10.0)
-    with pytest.raises(ValueError):
-        window_stats_right(seq, t=9.0, h=2.0)
-    with pytest.raises(ValueError):
-        window_stats_left(seq, t=1.0, h=2.0)
+    for estimate in (lambda t: window_estimate_series(seq, np.array([t]), 2.0),
+                     lambda t: s_hat(seq, t, 2.0)):
+        with pytest.raises(ValueError, match="exceeds event horizon"):
+            estimate(9.0)
+        with pytest.raises(ValueError, match="before time zero"):
+            estimate(1.0)
 
 
 def test_window_stats_match_definition_oracle():
     seq = simulate_renewal(RenewalSpec.gamma(0.5, 2), 200.0, seed=4)
     rng = np.random.default_rng(0)
     for _ in range(30):
-        t = rng.uniform(5, 150)
+        # both windows of t lie in [0, 200]
+        t = rng.uniform(45, 150)
         h = rng.uniform(1, 40)
-        ws = window_stats_right(seq, t, h)
-        ref = brute_window_stats(seq.events, t, t + h)
-        assert ws.count == ref.count
-        assert math.isclose(ws.mean_hat, ref.mean_hat, rel_tol=1e-12, abs_tol=1e-15)
-        assert math.isclose(ws.var_hat, ref.var_hat, rel_tol=1e-9, abs_tol=1e-15)
+        est = window_estimate_series(seq, np.array([t]), h)
+        for count, mean, var, (lo, hi) in (
+                (est.count_right, est.mean_right, est.var_right, (t, t + h)),
+                (est.count_left, est.mean_left, est.var_left, (t - h, t))):
+            ref = brute_window_stats(seq.events, lo, hi)
+            assert count[0] == ref.count
+            assert math.isclose(mean[0], ref.mean_hat, rel_tol=1e-12, abs_tol=1e-15)
+            assert math.isclose(var[0], ref.var_hat, rel_tol=1e-9, abs_tol=1e-15)
 
 
 def test_window_stats_left_window_lln():
     seq = simulate_renewal(RenewalSpec.gamma(1, 1), 1000.0, seed=21)
-    ws = window_stats_left(seq, t=500.0, h=150.0)
-    assert abs(ws.mean_hat - 1.0) < 0.1
+    est = window_estimate_series(seq, np.array([500.0]), 150.0)
+    assert abs(est.mean_left[0] - 1.0) < 0.1
 
 
 def test_s_hat_zero_convention_and_magnitude():
@@ -107,14 +105,15 @@ def test_vectorised_estimates_match_scalar_path():
     est = window_estimate_series(seq, grid, 150.0, 1)
     for j in (0, 5, 17, len(grid) - 1):
         t = grid[j]
-        ri = window_stats_right(seq, t, 150.0)
-        le = window_stats_left(seq, t, 150.0)
+        ri = brute_window_stats(seq.events, t, t + 150.0)
+        le = brute_window_stats(seq.events, t - 150.0, t)
         assert est.count_right[j] == ri.count
         assert est.count_left[j] == le.count
         assert np.isclose(est.mean_right[j], ri.mean_hat, rtol=1e-9)
         assert np.isclose(est.var_right[j], ri.var_hat, rtol=1e-9)
         assert np.isclose(est.mean_left[j], le.mean_hat, rtol=1e-9)
         assert np.isclose(est.var_left[j], le.var_hat, rtol=1e-9)
+        assert np.isclose(est.s_hat[j], brute_s_hat(seq.events, t, 150.0), rtol=1e-9)
         assert np.isclose(est.s_hat[j], s_hat(seq, t, 150.0), rtol=1e-9)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sharkfin import lab
-from sharkfin.filtered import s_hat
+from sharkfin.filtered import window_estimate_series
 from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           check_estimator_consistency, check_window_lln,
                           check_window_variance_forms, ks_critical_2samp,
@@ -146,11 +146,8 @@ def test_corollary_case_estimated_statistic_matches_plain_limit():
     vals = []
     for r in range(300):
         seq = simulate_compound(model, seed=71, stream=(r,))
-        ev = seq.events
-        diff = (np.searchsorted(ev, 650.0, side="right")
-                - 2 * np.searchsorted(ev, 500.0, side="right")
-                + np.searchsorted(ev, 350.0, side="right"))
-        vals.append(diff / s_hat(seq, 500.0, h, 1))
+        est = window_estimate_series(seq, np.array([500.0]), h, 1)
+        vals.append(est.count_diff[0] / est.s_hat[0])
     grid, ref = simulate_L_paths(cfg, p, seed=72, n_paths=1200)
     ref_c = ref[:, np.searchsorted(grid, 500.0)]
     assert ks_statistic_2samp(np.asarray(vals), ref_c) \

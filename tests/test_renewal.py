@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharkfin import renewal
-from sharkfin.renewal import (ChangePointModel, ConfigurationError,
+from sharkfin.renewal import (_ALIGN_RTOL, ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
                               read_event_file, register_sampler,
                               simulate_compound, simulate_renewal, substream,
@@ -231,6 +234,34 @@ def test_snap_and_alignment():
     assert cfg.lattice_index(500.0, "change point") == 100
     with pytest.raises(ConfigurationError):
         cfg.lattice_index(501.0, "change point")
+
+
+steps = st.floats(1e-3, 1e3)
+multiples = st.integers(1, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=steps, k=multiples,
+       rel=st.floats(-0.9 * _ALIGN_RTOL, 0.9 * _ALIGN_RTOL))
+def test_alignment_accepts_multiples_within_relative_tolerance(step, k, rel):
+    x = k * step * (1.0 + rel)
+    assert WindowConfig(4.0 * x, (x,), step).h_set == (x,)
+    assert WindowConfig(4.0 * x, (step,), step).lattice_index(x) == k
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=steps, k=multiples, sign=st.sampled_from([-1.0, 1.0]),
+       excess=st.floats(1.1, 1e9))
+def test_alignment_refuses_other_values_naming_the_quantity(step, k, sign, excess):
+    # offset from k steps: beyond the tolerance, at most half a step
+    x = (k + sign * min(0.5, excess * _ALIGN_RTOL * (k + 0.5))) * step
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"window size {x} is not a multiple")):
+        WindowConfig(4.0 * x, (x,), step)
+    cfg = WindowConfig(4.0 * x + 4.0 * step, (step,), step)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"change point {x} is not a multiple")):
+        cfg.lattice_index(x, "change point")
 
 
 # ---------------------------------------------------------------------------

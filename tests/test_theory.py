@@ -1,11 +1,14 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 from geometry import check_fin_geometry
-from sharkfin.presets import (DISTORTION_A, ORIENTATION_MODELS, SHARK_EAST,
+from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B,
+                              ORIENTATION_MODELS, SHARK_EAST,
                               SHARK_EAST_INVERTED, SHARK_WEST,
                               SHARK_WEST_INVERTED)
 from sharkfin.renewal import (ConfigurationError, WindowConfig,
@@ -15,7 +18,7 @@ from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
                              detection_bound, distortion, m_function,
                              mu_le_theory, mu_ri_theory, normal_cdf,
                              s_function, s_tilde, shark_fin, sigma2_le_theory,
-                             sigma2_ri_theory, simulate_L, simulate_L_paths)
+                             sigma2_ri_theory, simulate_L_paths)
 
 ROW_A = TheoryParams.from_model(SHARK_WEST, 150.0)
 FLAT = TheoryParams(1.0, 1.0, 1.0, 1.0, c=500.0, T=1000.0, h=150.0)
@@ -218,6 +221,49 @@ def test_s_tilde_interior_against_oracle():
         assert s_tilde(t, p) > 0.0
 
 
+LIMIT_CASES = {name: TheoryParams.from_model(model, DEFAULT_H)
+               for name, model in {**ORIENTATION_MODELS, "distortion_a": DISTORTION_A,
+                                   "distortion_b": DISTORTION_B}.items()}
+# On the presets' integral c and h most algebraic rewrites of the window
+# weights (for example the left window as the right window at t - h) round
+# exactly as the original; at this small c and h they do not.
+LIMIT_CASES["distortion_a_small"] = replace(
+    TheoryParams.from_model(DISTORTION_A, 0.1), c=0.3, T=1.0)
+
+# sha256 of the float64 bytes of mu_ri, mu_le, sigma2_ri, sigma2_le and the
+# sum-cross-term sigma2_ri on limit_grid(p), recorded from four separately
+# written limit functions: a rewrite of the limits must reproduce them bit
+# for bit
+LIMIT_HASHES = {
+    "west_fin": "ea553fa09d77de2d319f44e05e2665bd0c85c369773f44c012d8dcaaf10af17c",
+    "east_fin": "a256a07f80edb96e4e85a7ef43d14506583e14a01491f8520b23a17346b62e8e",
+    "west_fin_inverted":
+        "97f307fae2109c78a0a48528671767e0a6e43ee08a88258bd8c82a706486ebd3",
+    "east_fin_inverted":
+        "281fdda4363c0ddcc6a42d3381a0c512a0e27dd442720665353406585d1fbbc6",
+    "distortion_a": "3623d86899dae130aca80d0519ed2e94943fc2762e7cb1c631143aa0be436af3",
+    "distortion_b": "f27eb636ab3e179c4aebac55a26faafce3b5cba51152e308caaa5cd1bbc961f5",
+    "distortion_a_small":
+        "8b142cec52580761fe4418b683cfe3dc185b000e99ba4ba5543effb3561a050e",
+}
+
+
+def limit_grid(p):
+    """Dense grid over c +- 3h/2 that holds every branch edge and c +- h/2."""
+    return np.union1d(np.linspace(p.c - 1.5 * p.h, p.c + 1.5 * p.h, 3001),
+                      [p.c - p.h, p.c - p.h / 2, p.c, p.c + p.h / 2, p.c + p.h])
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_limits_match_recorded_bits(name):
+    p = LIMIT_CASES[name]
+    ts = limit_grid(p)
+    values = [mu_ri_theory(ts, p), mu_le_theory(ts, p), sigma2_ri_theory(ts, p),
+              sigma2_le_theory(ts, p), sigma2_ri_theory(ts, p, sum_cross_term=True)]
+    raw = np.concatenate(values).astype("<f8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == LIMIT_HASHES[name]
+
+
 # ---------------------------------------------------------------------------
 # distortion
 
@@ -297,15 +343,16 @@ def test_detection_bound_cases():
 
 def test_simulate_L_deterministic_and_flat_reduces_to_null_form():
     cfg = WindowConfig(1000.0, (150.0,), 5.0)
-    a = simulate_L(cfg, ROW_A, seed=5)
-    b = simulate_L(cfg, ROW_A, seed=5)
-    assert np.array_equal(a.values, b.values)
+    _, a = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
+    _, b = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
+    assert np.array_equal(a, b)
     # without a change, the branch forms collapse to the null form, so the
     # path cannot depend on where c sits
-    flat1 = simulate_L(cfg, FLAT, seed=6)
-    flat2 = simulate_L(cfg, TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
-                                         T=1000.0, h=150.0), seed=6)
-    assert np.allclose(flat1.values, flat2.values, atol=1e-10)
+    _, flat1 = simulate_L_paths(cfg, FLAT, seed=6, n_paths=1)
+    _, flat2 = simulate_L_paths(cfg, TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
+                                                  T=1000.0, h=150.0),
+                                seed=6, n_paths=1)
+    assert np.allclose(flat1, flat2, atol=1e-10)
 
 
 def test_simulate_L_paths_do_not_depend_on_chunking():
@@ -314,7 +361,7 @@ def test_simulate_L_paths_do_not_depend_on_chunking():
     grid, many = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=300)
     _, few = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=7)
     assert np.array_equal(many[:7], few)
-    assert np.array_equal(simulate_L(cfg, ROW_A, seed=8).values, few[0])
+    assert np.array_equal(simulate_L_paths(cfg, ROW_A, seed=8, n_paths=1)[1], few[:1])
     assert np.isfinite(many).all() and grid.size == many.shape[1]
 
 
@@ -322,9 +369,9 @@ def test_simulate_L_rejects_misaligned_configuration():
     cfg = WindowConfig(1000.0, (150.0,), 5.0)
     off = TheoryParams(1.0, 0.05, 1.0, 1 / 400, c=501.0, T=1000.0, h=150.0)
     with pytest.raises(ConfigurationError):
-        simulate_L(cfg, off, seed=1)
+        simulate_L_paths(cfg, off, seed=1, n_paths=1)
     with pytest.raises(ConfigurationError):
-        simulate_L(WindowConfig(900.0, (150.0,), 5.0), ROW_A, seed=1)
+        simulate_L_paths(WindowConfig(900.0, (150.0,), 5.0), ROW_A, seed=1, n_paths=1)
 
 
 def test_simulate_L_lag_decorrelation():
