@@ -1,8 +1,9 @@
 """Command-line front end: simulate, threshold, detect, theory, verify.
 
-Every command is deterministic given its parameters and --seed.  Flags
-can also be supplied through a JSON --config file mapping flag names
-(with underscores) to values; explicit flags override file values.
+Every command is deterministic given its parameters and --seed.  Each
+parameter and its default is declared once, as a flag of its command.  A
+JSON --config file maps flag names (with underscores) of that command to
+values that replace the defaults; explicit flags override file values.
 Outputs land in --out-dir as plain text, CSV and JSON files.
 """
 
@@ -17,127 +18,119 @@ import numpy as np
 
 from .detector import ThresholdTable, detect, simulate_threshold, threshold_cache_key
 from .filtered import write_series_csv
-from .lab import run_verification_suite
+from .lab import DEFAULT_SUITE_SEED, run_verification_suite
 from .presets import DEFAULT_H, SHARK_WEST
 from .renewal import (ChangePointModel, ConfigurationError, RenewalSpec,
                       read_event_file, simulate_compound, simulate_renewal,
                       write_event_file)
 from .theory import (TheoryParams, distortion, m_function, s_function, shark_fin)
 
-# `theory` defaults: the SHARK_WEST preset at its analysis window
-_THEORY_DEFAULTS = {
-    "p1": SHARK_WEST.phi1.shape, "l1": SHARK_WEST.phi1.rate,
-    "p2": SHARK_WEST.phi2.shape, "l2": SHARK_WEST.phi2.rate,
-    "c": SHARK_WEST.c, "T": SHARK_WEST.T, "h": DEFAULT_H, "n": SHARK_WEST.n}
 
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subparser of each command."""
     parser = argparse.ArgumentParser(
         prog="sharkfin",
         description="Filtered-derivative change-point analysis for renewal processes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, workers=False):
-        p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-        p.add_argument("--out-dir", help="output directory (default '.')")
+    def command(name, help, seed=0):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=seed,
+                       help="master RNG seed (default %(default)s)")
+        p.add_argument("--out-dir", default=".",
+                       help="output directory (default %(default)r)")
         p.add_argument("--config", help="JSON file with default parameter values")
-        if workers:
-            p.add_argument("--workers", type=int,
-                           help="worker processes for the null threshold (default 1)")
+        return p
 
-    p = sub.add_parser("simulate", help="simulate a renewal or change-point process")
-    common(p)
+    def threshold_flags(p):
+        p.add_argument("--delta", type=float, help="grid step (default min(h)/50)")
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="significance level (default %(default)s)")
+        p.add_argument("--n-sims", type=int, default=10000,
+                       help="null replicates (default %(default)s)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes for the null threshold (default %(default)s)")
+
+    p = command("simulate", "simulate a renewal or change-point process")
     p.add_argument("--p1", type=float, help="gamma shape before the change")
     p.add_argument("--l1", type=float, help="gamma rate before the change")
     p.add_argument("--p2", type=float, help="gamma shape after the change")
     p.add_argument("--l2", type=float, help="gamma rate after the change")
     p.add_argument("--c", type=float, help="change point (omit for no change)")
     p.add_argument("--T", type=float, help="horizon before scaling")
-    p.add_argument("--n", type=int, help="scale factor (horizon becomes n*T)")
+    p.add_argument("--n", type=int, default=1,
+                   help="scale factor, the horizon becomes n*T (default %(default)s)")
 
-    p = sub.add_parser("threshold", help="simulate the null rejection threshold Q")
-    common(p, workers=True)
+    p = command("threshold", "simulate the null rejection threshold Q")
     p.add_argument("--T", type=float)
     p.add_argument("--h", type=float, nargs="+", help="window sizes")
-    p.add_argument("--delta", type=float, help="grid step (default min(h)/50)")
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    p.add_argument("--n-sims", type=int, help="null replicates (default 10000)")
+    threshold_flags(p)
 
-    p = sub.add_parser("detect", help="run the multiple-filter test on an event file")
-    common(p, workers=True)
+    p = command("detect", "run the multiple-filter test on an event file")
     p.add_argument("--input", help="event file (one ascending time per line)")
     p.add_argument("--table", help="threshold table JSON (default: build/cache one)")
     p.add_argument("--T", type=float, help="horizon before scaling (default horizon/n)")
-    p.add_argument("--n", type=int, help="scale factor (default 1)")
-    p.add_argument("--h", type=float, nargs="+", help="window sizes (default 150)")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n-sims", type=int)
+    p.add_argument("--n", type=int, default=1, help="scale factor (default %(default)s)")
+    p.add_argument("--h", type=float, nargs="+", default=[DEFAULT_H],
+                   help="window sizes (default %(default)s)")
+    threshold_flags(p)
 
-    p = sub.add_parser("theory", help="export m, s, m/s and the distortion as CSV")
-    common(p)
-    for flag in ("p1", "l1", "p2", "l2", "c", "T", "h"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
+    p = command("theory", "export m, s, m/s and the distortion as CSV")
+    m = SHARK_WEST  # the rate-1-to-20 example at its analysis window
+    for flag, default in (("p1", m.phi1.shape), ("l1", m.phi1.rate), ("p2", m.phi2.shape),
+                          ("l2", m.phi2.rate), ("c", m.c), ("T", m.T), ("h", DEFAULT_H)):
+        p.add_argument(f"--{flag}", type=float, default=default, help="default %(default)s")
+    p.add_argument("--n", type=int, default=m.n, help="default %(default)s")
+    p.add_argument("--delta", type=float, help="grid step (default h/50)")
 
-    p = sub.add_parser("verify", help="run the Monte Carlo verification suite")
-    common(p)
-    p.add_argument("--scale", choices=["smoke", "full"], help="suite size (default full)")
-    return parser
+    p = command("verify", "run the Monte Carlo verification suite", seed=DEFAULT_SUITE_SEED)
+    p.add_argument("--scale", choices=["smoke", "full"], default="full",
+                   help="suite size (default %(default)s)")
+    return parser, commands
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config) as fh:
+def _load_config(path, allowed) -> dict:
+    """The JSON object in path; ValueError naming any key not in allowed."""
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ValueError(f"config file {path}: not flags of this command: {unknown}")
     return cfg
 
 
-def _opt(args, config, name, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
-def _require(args, config, name):
-    value = _opt(args, config, name)
+def _require(args, name):
+    value = getattr(args, name)
     if value is None:
         raise ValueError(f"missing required parameter --{name}")
     return value
 
 
-def _out_dir(args, config) -> Path:
-    out = Path(_opt(args, config, "out_dir", "."))
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    seed = int(_opt(args, config, "seed", 0))
-    T = float(_require(args, config, "T"))
-    n = int(_opt(args, config, "n", 1))
-    phi1 = RenewalSpec.gamma(float(_require(args, config, "p1")),
-                             float(_require(args, config, "l1")))
-    p2, l2, c = (_opt(args, config, k) for k in ("p2", "l2", "c"))
-    out = _out_dir(args, config)
+    seed = int(args.seed)
+    T = float(_require(args, "T"))
+    n = int(args.n)
+    phi1 = RenewalSpec.gamma(float(_require(args, "p1")), float(_require(args, "l1")))
+    out = _out_dir(args)
 
-    if p2 is not None or l2 is not None or c is not None:
-        if p2 is None or l2 is None or c is None:
+    if args.p2 is not None or args.l2 is not None or args.c is not None:
+        if None in (args.p2, args.l2, args.c):
             raise ValueError("a change-point simulation needs --p2, --l2 and --c")
-        model = ChangePointModel(phi1, RenewalSpec.gamma(float(p2), float(l2)),
-                                 float(c), T, n)
+        model = ChangePointModel(phi1, RenewalSpec.gamma(float(args.p2), float(args.l2)),
+                                 float(args.c), T, n)
         seq = simulate_compound(model, seed)
         sidecar = dict(model.to_dict(), seed=seed)
     else:
@@ -151,53 +144,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _cached_threshold(out: Path, T, h_set, delta, alpha, n_sims, seed, workers) -> ThresholdTable:
-    cache_dir = out / "thresholds"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = threshold_cache_key(T, h_set, delta, alpha, n_sims, seed)
-    path = cache_dir / f"q_{key}.json"
+def _cached_threshold(args, out: Path, T, h_set) -> ThresholdTable:
+    """The null threshold table of args' threshold flags, built once per key."""
+    delta = min(h_set) / 50 if args.delta is None else float(args.delta)
+    config = (T, h_set, delta, float(args.alpha), int(args.n_sims), int(args.seed))
+    key = threshold_cache_key(*config)
+    path = out / "thresholds" / f"q_{key}.json"
     if path.exists():
         print(f"threshold cache hit: {path}")
-        return ThresholdTable.load(path)
-    table = simulate_threshold(T, h_set, delta, alpha, n_sims, seed, workers=workers)
+        table = ThresholdTable.load(path)
+        if table.cache_key() != key:
+            raise ConfigurationError(f"threshold table {path}: contents do not match "
+                                     f"the key {key} in its name; delete it to rebuild")
+        return table
+    path.parent.mkdir(exist_ok=True)
+    table = simulate_threshold(*config, workers=int(args.workers))
     table.save(path)
     print(f"wrote threshold table to {path}")
     return table
 
 
 def cmd_threshold(args) -> int:
-    config = _load_config(args)
-    seed = int(_opt(args, config, "seed", 0))
-    T = float(_require(args, config, "T"))
-    h_set = [float(h) for h in np.atleast_1d(_require(args, config, "h"))]
-    delta = float(_opt(args, config, "delta", min(h_set) / 50))
-    alpha = float(_opt(args, config, "alpha", 0.05))
-    n_sims = int(_opt(args, config, "n_sims", 10000))
-    workers = int(_opt(args, config, "workers", 1))
-    out = _out_dir(args, config)
-    table = _cached_threshold(out, T, h_set, delta, alpha, n_sims, seed, workers)
-    print(f"Q = {table.Q!r} (alpha={alpha}, n_sims={n_sims})")
+    T = float(_require(args, "T"))
+    h_set = [float(h) for h in np.atleast_1d(_require(args, "h"))]
+    table = _cached_threshold(args, _out_dir(args), T, h_set)
+    print(f"Q = {table.Q!r} (alpha={table.alpha}, n_sims={table.n_sims})")
     return 0
 
 
 def cmd_detect(args) -> int:
-    config = _load_config(args)
-    seed = int(_opt(args, config, "seed", 0))
-    seq = read_event_file(_require(args, config, "input"))
-    n = int(_opt(args, config, "n", 1))
-    T = float(_opt(args, config, "T", seq.horizon / n))
-    h_set = [float(h) for h in np.atleast_1d(_opt(args, config, "h", [150.0]))]
-    out = _out_dir(args, config)
-
-    table_path = _opt(args, config, "table")
-    if table_path is not None:
-        table = ThresholdTable.load(table_path)
-    else:
-        delta = float(_opt(args, config, "delta", min(h_set) / 50))
-        alpha = float(_opt(args, config, "alpha", 0.05))
-        n_sims = int(_opt(args, config, "n_sims", 10000))
-        workers = int(_opt(args, config, "workers", 1))
-        table = _cached_threshold(out, T, h_set, delta, alpha, n_sims, seed, workers)
+    seq = read_event_file(_require(args, "input"))
+    n = int(args.n)
+    T = seq.horizon / n if args.T is None else float(args.T)
+    h_set = [float(h) for h in np.atleast_1d(args.h)]
+    out = _out_dir(args)
+    table = (_cached_threshold(args, out, T, h_set) if args.table is None
+             else ThresholdTable.load(args.table))
 
     result = detect(seq, T, n, h_set, table)
     series_paths = {}
@@ -213,17 +195,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    config = _load_config(args)
-    vals = {k: float(_opt(args, config, k, _THEORY_DEFAULTS[k]))
-            for k in ("p1", "l1", "p2", "l2", "c", "T", "h")}
-    n = int(_opt(args, config, "n", _THEORY_DEFAULTS["n"]))
-    delta = float(_opt(args, config, "delta", vals["h"] / 50))
-    out = _out_dir(args, config)
-
-    phi1 = RenewalSpec.gamma(vals["p1"], vals["l1"])
-    phi2 = RenewalSpec.gamma(vals["p2"], vals["l2"])
+    phi1 = RenewalSpec.gamma(float(args.p1), float(args.l1))
+    phi2 = RenewalSpec.gamma(float(args.p2), float(args.l2))
     p = TheoryParams(phi1.mu, phi2.mu, phi1.sigma2, phi2.sigma2,
-                     vals["c"], vals["T"], vals["h"], n)
+                     float(args.c), float(args.T), float(args.h), int(args.n))
+    delta = p.h / 50 if args.delta is None else float(args.delta)
 
     # grid anchored at the change point so the peak node is exact
     lo, hi = p.h, p.T - p.h
@@ -236,7 +212,7 @@ def cmd_theory(args) -> int:
     s = s_function(grid, p)
     fin = shark_fin(grid, p)
     dist = distortion(grid, p)
-    path = out / "theory.csv"
+    path = _out_dir(args) / "theory.csv"
     with open(path, "w", newline="") as fh:
         fh.write(f"# mu1={p.mu1!r},mu2={p.mu2!r},sigma1_sq={p.sigma1_sq!r},"
                  f"sigma2_sq={p.sigma2_sq!r},c={p.c!r},T={p.T!r},h={p.h!r},n={p.n}\n")
@@ -248,18 +224,11 @@ def cmd_theory(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
-    seed = _opt(args, config, "seed")
-    scale = _opt(args, config, "scale", "full")
-    out = _out_dir(args, config)
-    kwargs = {"scale": scale}
-    if seed is not None:
-        kwargs["seed"] = int(seed)
-    reports = run_verification_suite(**kwargs)
+    out = _out_dir(args)
+    reports = run_verification_suite(seed=int(args.seed), scale=args.scale)
     _write_json(out / "lab_reports.json", [r.to_json_dict() for r in reports])
     summary = "\n".join(r.summary() for r in reports)
-    with open(out / "lab_summary.txt", "w") as fh:
-        fh.write(summary + "\n")
+    (out / "lab_summary.txt").write_text(summary + "\n")
     print(summary)
     all_passed = all(r.passed for r in reports)
     print("verification suite: " + ("ALL PASS" if all_passed else "FAILURES PRESENT"))
@@ -276,9 +245,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # config values become the command's defaults, so flags still win
+            allowed = set(vars(args)) - {"command", "config"}
+            commands[args.command].set_defaults(**_load_config(args.config, allowed))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

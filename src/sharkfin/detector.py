@@ -96,10 +96,6 @@ def _h0_block(T: float, h_set: tuple, grid_step: float, seed: int,
     return out
 
 
-def _h0_block_job(args) -> np.ndarray:
-    return _h0_block(*args)
-
-
 @dataclass(frozen=True)
 class ThresholdTable:
     """Null-distribution quantiles of the multi-window maximum statistic."""
@@ -193,9 +189,9 @@ def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,
         # imported here: the process pool module costs every import of the package
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_h0_block_job, jobs))
+            parts = list(pool.map(_h0_block, *zip(*jobs)))
     else:
-        parts = [_h0_block_job(job) for job in jobs]
+        parts = list(map(_h0_block, *zip(*jobs)))
     per_h = np.vstack(parts)
 
     maxima = per_h.max(axis=1)

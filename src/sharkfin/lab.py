@@ -321,15 +321,13 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     grid, ref_paths = simulate_L_paths(cfg, p1, seed, n_ref, stream=(91,))
     probe_col = np.searchsorted(grid, probes)
     ref = ref_paths[:, probe_col]
-    delta_t = np.array([distortion(t, p1) for t in probes])
+    delta_t = distortion(probes, p1)
     observed = _observed(model, probes, h)
 
     ks_gamma, ks_g = [], []
     for li, n in enumerate(n_levels):
         p_n = p1.at_scale(n)
-        m_t = np.array([m_function(t, p_n) for t in probes])
-        s_t = np.array([s_function(t, p_n) for t in probes])
-        fin_t = np.array([shark_fin(t, p_n) for t in probes])
+        m_t, s_t, fin_t = (f(probes, p_n) for f in (m_function, s_function, shark_fin))
         gam = np.empty((n_reps, probes.size))
         gcen = np.full((n_reps, probes.size), np.nan)
         for r in range(n_reps):
@@ -487,8 +485,8 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     if np.any(probes <= c - h) or np.any(probes > c):
         raise ValueError("probes must lie inside the interpolation interval (c-h, c]")
     p1 = TheoryParams.from_model(model, h, n=1)
-    mix = np.array([sigma2_ri_theory(t, p1) for t in probes])
-    alt = np.array([sigma2_ri_theory(t, p1, sum_cross_term=True) for t in probes])
+    mix = sigma2_ri_theory(probes, p1)
+    alt = sigma2_ri_theory(probes, p1, sum_cross_term=True)
 
     observed = _observed(model, probes, h).with_scale(1)
     acc = np.zeros(probes.size)

@@ -79,7 +79,7 @@ class RenewalSpec:
     gamma family (shape p, rate lam) they are p/lam and p/lam**2.
     """
 
-    family: str  # "gamma" | "exponential" | "generic"
+    family: str  # "gamma" | "generic"
     mu: float
     sigma2: float
     shape: Optional[float] = None
@@ -87,7 +87,7 @@ class RenewalSpec:
     sampler_id: Optional[str] = None
 
     def __post_init__(self):
-        if self.family not in ("gamma", "exponential", "generic"):
+        if self.family not in ("gamma", "generic"):
             raise ValueError(f"unknown life-time family {self.family!r}")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError(f"life-time mean must be positive, got {self.mu}")
@@ -99,8 +99,6 @@ class RenewalSpec:
             if not (math.isclose(self.mu, self.shape / self.rate, rel_tol=1e-12)
                     and math.isclose(self.sigma2, self.shape / self.rate**2, rel_tol=1e-12)):
                 raise ValueError("gamma moments must equal shape/rate and shape/rate**2")
-        if self.family == "exponential" and not (self.rate and self.rate > 0):
-            raise ValueError("exponential life times need a positive rate")
         if self.family == "generic" and not self.sampler_id:
             raise ValueError("generic life times need a registered sampler_id")
 
@@ -112,9 +110,8 @@ class RenewalSpec:
 
     @classmethod
     def exponential(cls, rate: float) -> "RenewalSpec":
-        if rate <= 0:
-            raise ValueError(f"exponential rate must be positive, got {rate}")
-        return cls("exponential", 1.0 / rate, 1.0 / rate**2, rate=rate)
+        """Exponential life times: the gamma law of shape 1."""
+        return cls.gamma(1.0, rate)
 
     @classmethod
     def generic(cls, sampler_id: str, mu: float, sigma2: float) -> "RenewalSpec":
@@ -126,8 +123,6 @@ class RenewalSpec:
         """Draw `size` i.i.d. life times."""
         if self.family == "gamma":
             out = rng.gamma(self.shape, 1.0 / self.rate, size)
-        elif self.family == "exponential":
-            out = rng.exponential(1.0 / self.rate, size)
         else:
             out = np.asarray(_SAMPLERS[self.sampler_id](rng, size), dtype=float)
         # exact zeros are measure-zero artifacts of float underflow; redraw them
@@ -320,24 +315,23 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     Strict increase is enforced once, on the times up to hi that were
     drawn, and the result is the part in (lo, hi].
 
-    For gamma and exponential life times with lo > 0, the first K =
-    _skip_count(spec, lo) renewals are skipped: S_K, a sum of K i.i.d.
-    Gamma(p, rate) life times, is drawn in one call as Gamma(K*p, rate),
-    which is exact in law.  If S_K > lo, the partial sums S_1..S_K are
-    rebuilt given S_K, as S_K times the normalised cumulative sums of K
-    Gamma(p, 1) draws (a Dirichlet bridge).  Generic samplers and lo = 0
-    draw the full path, so their streams are those of a plain simulation.
+    For gamma life times with lo > 0, the first K = _skip_count(spec, lo)
+    renewals are skipped: S_K, a sum of K i.i.d. Gamma(p, rate) life
+    times, is drawn in one call as Gamma(K*p, rate), which is exact in
+    law.  If S_K > lo, the partial sums S_1..S_K are rebuilt given S_K, as
+    S_K times the normalised cumulative sums of K Gamma(p, 1) draws (a
+    Dirichlet bridge).  Generic samplers and lo = 0 draw the full path,
+    so their streams are those of a plain simulation.
     """
     if hi <= lo:
         return np.empty(0)
     start = 0.0
     parts = []
-    k = _skip_count(spec, lo) if lo > 0 and spec.family != "generic" else 0
+    k = _skip_count(spec, lo) if lo > 0 and spec.family == "gamma" else 0
     if k:
-        shape = spec.shape if spec.family == "gamma" else 1.0
-        start = float(rng.gamma(k * shape, 1.0 / spec.rate))
+        start = float(rng.gamma(k * spec.shape, 1.0 / spec.rate))
         if start > lo:
-            sums = np.cumsum(rng.standard_gamma(shape, k))
+            sums = np.cumsum(rng.standard_gamma(spec.shape, k))
             parts.append(sums / sums[-1] * start)
     span = max(hi - start, 0.0)
     chunk = int(span / spec.mu + 6.0 * math.sqrt(span * spec.sigma2 / spec.mu**3)) + 16

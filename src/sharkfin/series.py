@@ -47,13 +47,6 @@ class StatisticSeries:
             return 0.0
         return float(np.max(np.abs(self.values[self.valid])))
 
-    def argmax_abs(self) -> int:
-        """Index of the largest |value| over valid nodes (first on ties)."""
-        if not self.valid.any():
-            raise ValueError("series has no valid nodes")
-        masked = np.where(self.valid, np.abs(self.values), -np.inf)
-        return int(np.argmax(masked))
-
 
 def write_series_csv(path, series: StatisticSeries) -> None:
     """Columns t,value,valid after a '# h=..,n=..,delta=..' metadata line."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sharkfin.cli import main
+from sharkfin.lab import DEFAULT_SUITE_SEED
 
 
 def run(*argv):
@@ -166,6 +167,27 @@ def test_detect_builds_and_caches_table_when_absent(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
+def test_detect_refuses_cached_table_that_does_not_match_its_key(tmp_path, capsys):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 6,
+               "--out-dir", tmp_path) == 0
+    args = ("detect", "--input", tmp_path / "events.txt", "--h", 150,
+            "--delta", 5, "--n-sims", 500, "--seed", 2, "--out-dir", tmp_path)
+    assert run(*args) == 0
+    assert "wrote threshold table" in capsys.readouterr().out
+    (cached,) = (tmp_path / "thresholds").glob("q_*.json")
+    untouched = cached.read_text()
+    assert run(*args) == 0
+    assert "cache hit" in capsys.readouterr().out
+    d = json.loads(untouched)
+    d.update(grid_step=3.0, alpha=0.5)
+    cached.write_text(json.dumps(d))
+    (tmp_path / "detection.json").unlink()
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert cached.name in err and "key" in err
+    assert not (tmp_path / "detection.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # theory
 
@@ -221,6 +243,7 @@ def test_verify_smoke(tmp_path):
     assert len(reports) == 6
     assert all(r["passed"] for r in reports)
     assert (tmp_path / "lab_summary.txt").read_text().count("[PASS]") == 6
+    assert {r["seed"] for r in reports} == {DEFAULT_SUITE_SEED}
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -234,6 +257,34 @@ def test_config_file_with_flag_override(tmp_path):
     head_b = (out_b / "events.txt").read_text().splitlines()[0]
     assert head_a == "# horizon=50.0"
     assert head_b == "# horizon=25.0"
+
+
+def test_config_keys_must_be_flags_of_the_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2, "hh": 100}))
+    assert run("theory", "--config", cfg, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "workers" in err and "hh" in err and cfg.name in err
+    assert not (tmp_path / "theory.csv").exists()
+    # h is a flag of detect and theory, not of simulate
+    cfg.write_text(json.dumps({"p1": 1, "l1": 1, "T": 50, "h": 150}))
+    assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 2
+    assert "'h'" in capsys.readouterr().err
+    assert not (tmp_path / "events.txt").exists()
+
+
+def test_config_scalar_h_for_detect(tmp_path, capsys):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 6,
+               "--out-dir", tmp_path) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 150, "delta": 5, "n_sims": 500, "seed": 2}))
+    assert run("detect", "--config", cfg, "--input", tmp_path / "events.txt",
+               "--out-dir", tmp_path) == 0
+    assert (tmp_path / "G_h150.csv").exists()
+    # the same table as the flags name
+    assert run("detect", "--input", tmp_path / "events.txt", "--h", 150, "--delta", 5,
+               "--n-sims", 500, "--seed", 2, "--out-dir", tmp_path) == 0
+    assert "cache hit" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "theory", "verify"])

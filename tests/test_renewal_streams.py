@@ -109,6 +109,18 @@ RENEWAL_SPECS = {
 }
 
 
+@pytest.mark.parametrize("rate", [0.5, 2.0, 20.0])
+def test_exponential_draws_are_numpys_exponential(rate):
+    # exponential life times are gamma(1, rate); numpy draws gamma of shape 1
+    # through its exponential sampler, so the stream is that of rng.exponential
+    for seed in (0, 1):
+        for size in (1, 1000, 100_003):
+            a, b = substream(seed, 5), substream(seed, 5)
+            got = RenewalSpec.exponential(rate).draw(a, size)
+            assert same_bits(got, b.exponential(1.0 / rate, size))
+            assert a.random() == b.random()
+
+
 @pytest.mark.parametrize("horizon", [0.5, 10.0, 2000.0])
 @pytest.mark.parametrize("name", sorted(RENEWAL_SPECS))
 def test_simulate_renewal_bit_identical_to_oracle(name, horizon):
