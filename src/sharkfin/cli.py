@@ -3,7 +3,8 @@
 Every command is deterministic given its parameters and --seed.  Each
 parameter and its default is declared once, as a flag of its command.  A
 JSON --config file maps flag names (with underscores) of that command to
-values that replace the defaults; explicit flags override file values.
+values that replace the defaults; each value is parsed as the text of its
+flag would be, and explicit flags override file values.
 Outputs land in --out-dir as plain text, CSV and JSON files.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +26,16 @@ from .renewal import (ChangePointModel, ConfigurationError, RenewalSpec,
                       read_event_file, simulate_compound, simulate_renewal,
                       write_event_file)
 from .theory import (TheoryParams, distortion, m_function, s_function, shark_fin)
+
+
+def _positive(kind):
+    """An argparse type: kind(text), refused unless finite and positive."""
+    def parse(text):
+        if not 0 < (value := kind(text)) < math.inf:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {kind.__name__}"  # "invalid positive int value: '0'"
+    return parse
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -44,12 +56,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         return p
 
     def threshold_flags(p):
-        p.add_argument("--delta", type=float, help="grid step (default min(h)/50)")
+        p.add_argument("--delta", type=_positive(float),
+                       help="grid step (default min(h)/50)")
         p.add_argument("--alpha", type=float, default=0.05,
                        help="significance level (default %(default)s)")
         p.add_argument("--n-sims", type=int, default=10000,
                        help="null replicates (default %(default)s)")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_positive(int), default=1,
                        help="worker processes for the null threshold (default %(default)s)")
 
     p = command("simulate", "simulate a renewal or change-point process")
@@ -59,7 +72,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--l2", type=float, help="gamma rate after the change")
     p.add_argument("--c", type=float, help="change point (omit for no change)")
     p.add_argument("--T", type=float, help="horizon before scaling")
-    p.add_argument("--n", type=int, default=1,
+    p.add_argument("--n", type=_positive(int), default=1,
                    help="scale factor, the horizon becomes n*T (default %(default)s)")
 
     p = command("threshold", "simulate the null rejection threshold Q")
@@ -69,9 +82,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("detect", "run the multiple-filter test on an event file")
     p.add_argument("--input", help="event file (one ascending time per line)")
-    p.add_argument("--table", help="threshold table JSON (default: build/cache one)")
+    p.add_argument("--table", help="threshold table JSON; its own alpha, n-sims and seed "
+                   "apply, and --delta must match its grid step (default: build/cache one)")
     p.add_argument("--T", type=float, help="horizon before scaling (default horizon/n)")
-    p.add_argument("--n", type=int, default=1, help="scale factor (default %(default)s)")
+    p.add_argument("--n", type=_positive(int), default=1,
+                   help="scale factor (default %(default)s)")
     p.add_argument("--h", type=float, nargs="+", default=[DEFAULT_H],
                    help="window sizes (default %(default)s)")
     threshold_flags(p)
@@ -81,8 +96,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     for flag, default in (("p1", m.phi1.shape), ("l1", m.phi1.rate), ("p2", m.phi2.shape),
                           ("l2", m.phi2.rate), ("c", m.c), ("T", m.T), ("h", DEFAULT_H)):
         p.add_argument(f"--{flag}", type=float, default=default, help="default %(default)s")
-    p.add_argument("--n", type=int, default=m.n, help="default %(default)s")
-    p.add_argument("--delta", type=float, help="grid step (default h/50)")
+    p.add_argument("--n", type=_positive(int), default=m.n, help="default %(default)s")
+    p.add_argument("--delta", type=_positive(float), help="grid step (default h/50)")
 
     p = command("verify", "run the Monte Carlo verification suite", seed=DEFAULT_SUITE_SEED)
     p.add_argument("--scale", choices=["smoke", "full"], default="full",
@@ -90,16 +105,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-def _load_config(path, allowed) -> dict:
-    """The JSON object in path; ValueError naming any key not in allowed."""
+def _config_defaults(path, command) -> dict:
+    """The JSON object in path, each value parsed by command as the text of
+    its flag would be: key k is --k with dashes for underscores, a list
+    value one word per item.  ValueError naming any key that is not a flag."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - allowed)
+    flags = set(vars(command.parse_args([]))) - {"config"}
+    unknown = sorted(set(cfg) - flags)
     if unknown:
         raise ValueError(f"config file {path}: not flags of this command: {unknown}")
-    return cfg
+    argv = []
+    for key, value in cfg.items():
+        argv += [f"--{key.replace('_', '-')}",
+                 *map(str, value if isinstance(value, list) else [value])]
+    try:
+        parsed = command.parse_args(argv)
+    except SystemExit:  # argparse has printed the flag and the value it refused
+        raise ValueError(f"config file {path}: a value its flag refuses") from None
+    return {key: getattr(parsed, key) for key in cfg}
 
 
 def _require(args, name):
@@ -120,17 +146,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_simulate(args) -> int:
-    seed = int(args.seed)
-    T = float(_require(args, "T"))
-    n = int(args.n)
-    phi1 = RenewalSpec.gamma(float(_require(args, "p1")), float(_require(args, "l1")))
+    seed, T, n = args.seed, _require(args, "T"), args.n
+    phi1 = RenewalSpec.gamma(_require(args, "p1"), _require(args, "l1"))
     out = _out_dir(args)
 
     if args.p2 is not None or args.l2 is not None or args.c is not None:
         if None in (args.p2, args.l2, args.c):
             raise ValueError("a change-point simulation needs --p2, --l2 and --c")
-        model = ChangePointModel(phi1, RenewalSpec.gamma(float(args.p2), float(args.l2)),
-                                 float(args.c), T, n)
+        model = ChangePointModel(phi1, RenewalSpec.gamma(args.p2, args.l2), args.c, T, n)
         seq = simulate_compound(model, seed)
         sidecar = dict(model.to_dict(), seed=seed)
     else:
@@ -146,8 +169,8 @@ def cmd_simulate(args) -> int:
 
 def _cached_threshold(args, out: Path, T, h_set) -> ThresholdTable:
     """The null threshold table of args' threshold flags, built once per key."""
-    delta = min(h_set) / 50 if args.delta is None else float(args.delta)
-    config = (T, h_set, delta, float(args.alpha), int(args.n_sims), int(args.seed))
+    delta = min(h_set) / 50 if args.delta is None else args.delta
+    config = (T, h_set, delta, args.alpha, args.n_sims, args.seed)
     key = threshold_cache_key(*config)
     path = out / "thresholds" / f"q_{key}.json"
     if path.exists():
@@ -158,28 +181,28 @@ def _cached_threshold(args, out: Path, T, h_set) -> ThresholdTable:
                                      f"the key {key} in its name; delete it to rebuild")
         return table
     path.parent.mkdir(exist_ok=True)
-    table = simulate_threshold(*config, workers=int(args.workers))
+    table = simulate_threshold(*config, workers=args.workers)
     table.save(path)
     print(f"wrote threshold table to {path}")
     return table
 
 
 def cmd_threshold(args) -> int:
-    T = float(_require(args, "T"))
-    h_set = [float(h) for h in np.atleast_1d(_require(args, "h"))]
-    table = _cached_threshold(args, _out_dir(args), T, h_set)
+    table = _cached_threshold(args, _out_dir(args), _require(args, "T"), _require(args, "h"))
     print(f"Q = {table.Q!r} (alpha={table.alpha}, n_sims={table.n_sims})")
     return 0
 
 
 def cmd_detect(args) -> int:
     seq = read_event_file(_require(args, "input"))
-    n = int(args.n)
-    T = seq.horizon / n if args.T is None else float(args.T)
-    h_set = [float(h) for h in np.atleast_1d(args.h)]
+    n, h_set = args.n, args.h
+    T = seq.horizon / n if args.T is None else args.T
     out = _out_dir(args)
     table = (_cached_threshold(args, out, T, h_set) if args.table is None
              else ThresholdTable.load(args.table))
+    if args.table is not None and args.delta not in (None, table.grid_step):
+        raise ConfigurationError(f"threshold table {args.table} has grid step "
+                                 f"{table.grid_step}, not --delta {args.delta}")
 
     result = detect(seq, T, n, h_set, table)
     series_paths = {}
@@ -225,7 +248,7 @@ def cmd_theory(args) -> int:
 
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    reports = run_verification_suite(seed=int(args.seed), scale=args.scale)
+    reports = run_verification_suite(seed=args.seed, scale=args.scale)
     _write_json(out / "lab_reports.json", [r.to_json_dict() for r in reports])
     summary = "\n".join(r.summary() for r in reports)
     (out / "lab_summary.txt").write_text(summary + "\n")
@@ -250,8 +273,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # config values become the command's defaults, so flags still win
-            allowed = set(vars(args)) - {"command", "config"}
-            commands[args.command].set_defaults(**_load_config(args.config, allowed))
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, ConfigurationError, OSError) as exc:

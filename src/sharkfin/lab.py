@@ -14,8 +14,9 @@ recorded thresholds.  Two kinds of criteria appear:
   critical value, the distance is statistically indistinguishable from
   zero throughout and no ordering is demanded of pure noise.
 * final-level gates: the last scale must beat a fixed threshold (a KS
-  critical value, Bonferroni-corrected across probes, or an absolute
-  sup-norm bound).
+  critical value at level 0.05 or 0.01, Bonferroni-corrected across
+  probes, or an absolute sup-norm bound).  Probes, change points and
+  grids sit on a lattice of fixed step h/30.
 
 One caveat is recorded rather than tested away: with estimated scaling,
 the statistic centered by the distorted systematic term keeps an O(1)
@@ -65,6 +66,14 @@ __all__ = [
 # KS statistic sd under the null is about 0.26*sqrt((m+n)/(m*n)); used to
 # size the per-step noise allowance of trend criteria.
 _KS_SD = 0.26
+
+# Fixed settings of the checks: grid step h/30, KS levels of the null and
+# alternative limits, variance-form match and final scaling-ratio error.
+_STEPS_PER_WINDOW = 30
+_H0_ALPHA = 0.05
+_ALTERNATIVE_ALPHA = 0.01
+_VARIANCE_REL_TOL = 0.02
+_RATIO_FINAL_TOL = 0.05
 
 DEFAULT_SUITE_SEED = 20260811
 
@@ -166,8 +175,60 @@ def _strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
 
+def _verdict(report: LabReport, **criteria) -> LabReport:
+    """Record criteria given as name=(holds, note if it fails); pass iff all hold."""
+    report.details["criteria"] = {name: ok for name, (ok, _) in criteria.items()}
+    report.passed = all(ok for ok, _ in criteria.values())
+    report.notes += [note for ok, note in criteria.values() if not ok and note]
+    return report
+
+
+def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
+                trend_metric: str, trend_ks, final_ks, *, tests_key: str,
+                converged_note: str, trend_note: str) -> LabReport:
+    """The KS criteria of the limit checks.
+
+    trend_ks holds, per scale, the per-probe KS distances of the suite
+    whose probe mean (recorded as trend_metric) must show a net decrease
+    with per-step increases within the allowance, unless every scale is
+    already below the critical value.  Every distance in final_ks (the
+    last scale of every suite) must beat the critical value at level
+    alpha, Bonferroni-corrected over len(final_ks) tests.
+    """
+    allowance = 2.0 * _KS_SD * math.sqrt((n_reps + n_ref) / (n_reps * n_ref))
+    critical = ks_critical_2samp(alpha / len(final_ks), n_reps, n_ref)
+    means = report.metrics[trend_metric] = [float(np.mean(row)) for row in trend_ks]
+    report.thresholds = {"alpha": alpha, tests_key: len(final_ks),
+                         "final_critical": critical, "step_allowance": allowance}
+    report.details.update(n_reps=n_reps, n_ref=n_ref)
+    converged = all(max(row) < critical for row in trend_ks)
+    if converged:
+        report.notes.append(f"{converged_note}; no trend demanded of pure noise")
+    trend_ok = len(report.n_levels) >= 3 and (
+        converged or _net_decrease_ok(means, allowance))
+    return _verdict(report, trend=(trend_ok, None if converged else trend_note),
+                    final_level=(max(final_ks) < critical,
+                                 "final-level KS above critical value"))
+
+
 # ---------------------------------------------------------------------------
 # shared sampling helpers
+
+
+def _setup(experiment: str, seed: int, n_levels, h: float, T: float,
+           model: ChangePointModel | None = None):
+    """The report, the WindowConfig at step h/30 and, given a model, the
+    model with c snapped to that grid (noted in the report) and its
+    scale-1 TheoryParams."""
+    report = LabReport(experiment, seed, [int(n) for n in n_levels])
+    cfg = WindowConfig(T, (h,), h / _STEPS_PER_WINDOW)
+    if model is None:
+        return report, cfg, None, None
+    c = cfg.snap(model.c)
+    if c != model.c:
+        report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
+        model = replace(model, c=c)
+    return report, cfg, model, TheoryParams.from_model(model, h, n=1)
 
 
 def _probe_count_diffs(events: np.ndarray, probes: np.ndarray, h: float,
@@ -178,36 +239,21 @@ def _probe_count_diffs(events: np.ndarray, probes: np.ndarray, h: float,
     return (np_ - nt) - (nt - nm)
 
 
-def _h0_probe_samples(T: float, h: float, grid_step: float, probes: np.ndarray,
+def _h0_probe_samples(cfg: WindowConfig, h: float, probes: np.ndarray,
                       n_paths: int, seed: int, stream: tuple) -> np.ndarray:
     """Null limit-process marginals at the probe times, one row per path."""
-    cfg = WindowConfig(T, (h,), grid_step)
     idx = np.array([cfg.lattice_index(t, "probe time") for t in probes])
     k = cfg.lattice_index(h, "window size")
     out = np.empty((n_paths, idx.size))
     for rows, w in brownian_blocks(substream(seed, *stream), n_paths,
-                                   cfg.lattice_size(), grid_step):
+                                   cfg.lattice_size(), cfg.grid_step):
         out[rows] = (w[:, idx + k] - 2.0 * w[:, idx] + w[:, idx - k]) / math.sqrt(2.0 * h)
     return out
 
 
 def _snap_probes(cfg: WindowConfig, h: float, probes) -> np.ndarray:
-    lo, hi = h, cfg.T - h
-    out = []
-    for t in probes:
-        t = cfg.snap(min(max(t, lo), hi))
-        out.append(t)
-    return np.array(sorted(set(out)))
-
-
-def _snap_change_point(model: ChangePointModel, cfg: WindowConfig,
-                       report: LabReport) -> ChangePointModel:
-    """The model with c moved to the nearest grid node, noted in the report."""
-    c = cfg.snap(model.c)
-    if c == model.c:
-        return model
-    report.notes.append(f"change point snapped to grid: {model.c} -> {c}")
-    return replace(model, c=c)
+    """Probe times clamped to [h, T-h], snapped to the grid, sorted, unique."""
+    return np.unique([cfg.snap(t) for t in np.clip(probes, h, cfg.T - h)])
 
 
 def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePointModel:
@@ -221,39 +267,55 @@ def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePo
     return replace(model, T=min(model.T, max(model.c, float(probes.max()) + h)))
 
 
+def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
+                    grid: np.ndarray, n_reps: int, seed: int, final_tol: float,
+                    errors) -> bool:
+    """Record, per scale, the replicate mean of each sup-norm error on grid.
+
+    errors(est, n) maps one replicate's window estimates at scale n to
+    {metric name: sup-norm error}.  Returns the trend criterion: at least
+    three scales, and every error decreasing strictly across them.
+    """
+    for li, n in enumerate(report.n_levels):
+        reps = [errors(window_estimate_series(simulate_compound(
+                    model.with_scale(n), seed, stream=(li, r)), grid, h, n), n)
+                for r in range(n_reps)]
+        for name in reps[0]:
+            report.metrics.setdefault(name, []).append(
+                float(np.mean([e[name] for e in reps])))
+    report.thresholds = {"final_tol": final_tol, "n_reps": n_reps}
+    return len(report.n_levels) >= 3 and all(
+        _strictly_decreasing(v) for v in report.metrics.values())
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
 
 def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
-                   seed: int, grid_step: float | None = None, probes=None,
-                   alpha: float = 0.05, n_ref: int | None = None) -> LabReport:
+                   seed: int, probes=None, n_ref: int | None = None) -> LabReport:
     """Marginals of the known-scaling statistic approach the null limit.
 
     At each scale, two-sample KS distances between statistic marginals
     (n_reps replicates) and simulated limit marginals are computed at
-    five probe times; the trend of their probe average must decrease and
-    every final-level probe must pass the KS test at level alpha
-    (Bonferroni-corrected across probes).
+    five probe times on the grid of step h/30; the trend of their probe
+    average must decrease and every final-level probe must pass the KS
+    test at level 0.05 (Bonferroni-corrected across probes).
     """
-    n_levels = [int(n) for n in n_levels]
-    report = LabReport("h0_limit", seed, n_levels)
+    report, cfg, _, _ = _setup("h0_limit", seed, n_levels, h, T)
     if n_reps < 2:
         report.notes.append(f"insufficient replicates (n_reps={n_reps}); "
                             "no distribution comparison possible")
         return report
-    grid_step = h / 30 if grid_step is None else grid_step
-    cfg = WindowConfig(T, (h,), grid_step)
-    if probes is None:
-        probes = [h, T / 4, T / 2, 3 * T / 4, T - h]
-    probes = _snap_probes(cfg, h, probes)
+    probes = _snap_probes(cfg, h, [h, T / 4, T / 2, 3 * T / 4, T - h]
+                          if probes is None else probes)
     n_ref = 4 * n_reps if n_ref is None else n_ref
 
-    ref = _h0_probe_samples(T, h, grid_step, probes, n_ref, seed, stream=(90,))
+    ref = _h0_probe_samples(cfg, h, probes, n_ref, seed, stream=(90,))
     scale_count = math.sqrt(2.0 * h * spec.sigma2 / spec.mu**3)
 
     per_level = []
-    for li, n in enumerate(n_levels):
+    for li, n in enumerate(report.n_levels):
         samples = np.empty((n_reps, probes.size))
         for r in range(n_reps):
             seq = simulate_renewal(spec, n * T, seed, stream=(li, r))
@@ -262,37 +324,17 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
         per_level.append([ks_statistic_2samp(samples[:, j], ref[:, j])
                           for j in range(probes.size)])
 
-    mean_ks = [float(np.mean(row)) for row in per_level]
-    allowance = 2.0 * _KS_SD * math.sqrt((n_reps + n_ref) / (n_reps * n_ref))
-    critical = ks_critical_2samp(alpha / probes.size, n_reps, n_ref)
-
-    max_ks = [float(np.max(row)) for row in per_level]
-    report.metrics["mean_ks"] = mean_ks
-    report.metrics["max_ks"] = max_ks
-    report.thresholds = {"alpha": alpha, "bonferroni_probes": int(probes.size),
-                         "final_critical": critical, "step_allowance": allowance}
-    report.details = {"probes": probes.tolist(), "ks_per_probe": per_level,
-                      "n_reps": n_reps, "n_ref": n_ref}
-    converged_throughout = all(v < critical for v in max_ks)
-    trend_ok = len(n_levels) >= 3 and (
-        converged_throughout or _net_decrease_ok(mean_ks, allowance))
-    final_ok = max_ks[-1] < critical
-    report.details["criteria"] = {"trend": trend_ok, "final_level": final_ok}
-    report.passed = trend_ok and final_ok
-    if converged_throughout:
-        report.notes.append("all scales below the critical value; "
-                            "no trend demanded of pure noise")
-    elif not trend_ok:
-        report.notes.append("KS trend did not decrease across scales")
-    if not final_ok:
-        report.notes.append("final-level KS above critical value")
+    report.details = {"probes": probes.tolist(), "ks_per_probe": per_level}
+    _ks_verdict(report, n_reps, n_ref, _H0_ALPHA, "mean_ks", per_level, per_level[-1],
+                tests_key="bonferroni_probes",
+                converged_note="all scales below the critical value",
+                trend_note="KS trend did not decrease across scales")
+    report.metrics["max_ks"] = [float(np.max(row)) for row in per_level]
     return report
 
 
 def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
-                            n_reps: int, seed: int,
-                            grid_step: float | None = None, probes=None,
-                            alpha: float = 0.01,
+                            n_reps: int, seed: int, probes=None,
                             n_ref: int | None = None) -> LabReport:
     """Statistic marginals near the change point approach the limit process.
 
@@ -302,30 +344,25 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     times the limit.  The trend criterion applies to the first suite
     only (the second keeps an O(1) remainder near the change point, see
     the module docstring); the final scale must pass per-probe KS gates
-    in both suites.
+    in both suites at level 0.01, Bonferroni-corrected across all tests.
+    Probes and the change point sit on the grid of step h/30.
     """
-    n_levels = [int(n) for n in n_levels]
-    report = LabReport("alternative_limit", seed, n_levels)
+    report, cfg, model, p1 = _setup("alternative_limit", seed, n_levels, h,
+                                    model.T, model)
     if n_reps < 2:
         report.notes.append(f"insufficient replicates (n_reps={n_reps})")
         return report
-    grid_step = h / 30 if grid_step is None else grid_step
-    cfg = WindowConfig(model.T, (h,), grid_step)
-    model = _snap_change_point(model, cfg, report)
-    if probes is None:
-        probes = [model.c - h / 2, model.c, model.c + h / 2]
-    probes = _snap_probes(cfg, h, probes)
+    probes = _snap_probes(cfg, h, [model.c - h / 2, model.c, model.c + h / 2]
+                          if probes is None else probes)
     n_ref = 4 * n_reps if n_ref is None else n_ref
 
-    p1 = TheoryParams.from_model(model, h, n=1)
     grid, ref_paths = simulate_L_paths(cfg, p1, seed, n_ref, stream=(91,))
-    probe_col = np.searchsorted(grid, probes)
-    ref = ref_paths[:, probe_col]
+    ref = ref_paths[:, np.searchsorted(grid, probes)]
     delta_t = distortion(probes, p1)
     observed = _observed(model, probes, h)
 
     ks_gamma, ks_g = [], []
-    for li, n in enumerate(n_levels):
+    for li, n in enumerate(report.n_levels):
         p_n = p1.at_scale(n)
         m_t, s_t, fin_t = (f(probes, p_n) for f in (m_function, s_function, shark_fin))
         gam = np.empty((n_reps, probes.size))
@@ -342,140 +379,84 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
                                         delta_t[j] * ref[:, j])
                      for j in range(probes.size)])
 
-    mean_gamma = [float(np.mean(row)) for row in ks_gamma]
-    mean_g = [float(np.mean(row)) for row in ks_g]
-    allowance = 2.0 * _KS_SD * math.sqrt((n_reps + n_ref) / (n_reps * n_ref))
-    critical = ks_critical_2samp(alpha / (2 * probes.size), n_reps, n_ref)
-
-    report.metrics["ks_gamma_vs_limit"] = mean_gamma
-    report.metrics["ks_estimated_vs_distorted_limit"] = mean_g
-    report.thresholds = {"alpha": alpha, "bonferroni_tests": int(2 * probes.size),
-                         "final_critical": critical, "step_allowance": allowance}
     report.details = {"probes": probes.tolist(), "ks_gamma": ks_gamma,
-                      "ks_estimated": ks_g, "n_reps": n_reps, "n_ref": n_ref}
-    gamma_max = [float(np.max(row)) for row in ks_gamma]
-    gamma_converged = all(v < critical for v in gamma_max)
-    trend_ok = len(n_levels) >= 3 and (
-        gamma_converged or _net_decrease_ok(mean_gamma, allowance))
-    final_ok = gamma_max[-1] < critical and max(ks_g[-1]) < critical
-    report.details["criteria"] = {"trend": trend_ok, "final_level": final_ok}
-    report.passed = trend_ok and final_ok
-    if gamma_converged:
-        report.notes.append("centered-statistic suite below the critical value "
-                            "at all scales; no trend demanded of pure noise")
-    elif not trend_ok:
-        report.notes.append("centered-statistic KS trend did not decrease across scales")
-    if not final_ok:
-        report.notes.append("final-level KS above critical value")
+                      "ks_estimated": ks_g}
+    _ks_verdict(report, n_reps, n_ref, _ALTERNATIVE_ALPHA, "ks_gamma_vs_limit",
+                ks_gamma, ks_gamma[-1] + ks_g[-1], tests_key="bonferroni_tests",
+                converged_note="centered-statistic suite below the critical value "
+                               "at all scales",
+                trend_note="centered-statistic KS trend did not decrease across scales")
+    report.metrics["ks_estimated_vs_distorted_limit"] = [
+        float(np.mean(row)) for row in ks_g]
     return report
 
 
 def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
-                     grid_step: float | None = None, n_reps: int = 3,
-                     final_tol: float = 0.05) -> LabReport:
-    """Windowed counts over nh converge uniformly to the local rate limits."""
-    n_levels = [int(n) for n in n_levels]
-    report = LabReport("window_lln", seed, n_levels)
-    grid_step = h / 30 if grid_step is None else grid_step
-    cfg = WindowConfig(model.T, (h,), grid_step)
-    model = _snap_change_point(model, cfg, report)
+                     n_reps: int = 3, final_tol: float = 0.05) -> LabReport:
+    """Windowed counts over nh converge uniformly to the local rate limits.
+
+    Sup-norm errors over the grid of step h/30 must decrease strictly
+    across scales and the final ones must beat final_tol.
+    """
+    report, cfg, model, p1 = _setup("window_lln", seed, n_levels, h, model.T, model)
     grid = cfg.grid(h)
-    p1 = TheoryParams.from_model(model, h, n=1)
     rate_ri = 1.0 / mu_ri_theory(grid, p1)
     rate_le = 1.0 / mu_le_theory(grid, p1)
 
-    sup_right, sup_left = [], []
-    for li, n in enumerate(n_levels):
-        errs_r, errs_l = [], []
-        for r in range(n_reps):
-            seq = simulate_compound(model.with_scale(n), seed, stream=(li, r))
-            est = window_estimate_series(seq, grid, h, n)
-            errs_r.append(np.max(np.abs(est.count_right / (n * h) - rate_ri)))
-            errs_l.append(np.max(np.abs(est.count_left / (n * h) - rate_le)))
-        sup_right.append(float(np.mean(errs_r)))
-        sup_left.append(float(np.mean(errs_l)))
+    def errors(est, n):
+        return {"sup_rate_error_right": np.max(np.abs(est.count_right / (n * h) - rate_ri)),
+                "sup_rate_error_left": np.max(np.abs(est.count_left / (n * h) - rate_le))}
 
-    report.metrics["sup_rate_error_right"] = sup_right
-    report.metrics["sup_rate_error_left"] = sup_left
-    report.thresholds = {"final_tol": final_tol, "n_reps": n_reps}
-    trend_ok = (_strictly_decreasing(sup_right) and _strictly_decreasing(sup_left)
-                and len(n_levels) >= 3)
-    final_ok = sup_right[-1] < final_tol and sup_left[-1] < final_tol
-    report.details["criteria"] = {"trend": trend_ok, "final_level": final_ok}
-    report.passed = trend_ok and final_ok
-    if not trend_ok:
-        report.notes.append("sup-norm rate error did not decrease across scales")
-    if not final_ok:
-        report.notes.append(f"final sup-norm rate error above {final_tol}")
-    return report
+    trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, final_tol, errors)
+    return _verdict(
+        report, trend=(trend_ok, "sup-norm rate error did not decrease across scales"),
+        final_level=(all(v[-1] < final_tol for v in report.metrics.values()),
+                     f"final sup-norm rate error above {final_tol}"))
 
 
 def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
-                                seed: int, grid_step: float | None = None,
-                                n_reps: int = 3,
-                                final_tol: float = 0.05) -> LabReport:
+                                seed: int, n_reps: int = 3) -> LabReport:
     """Windowed estimators converge to their interpolated limits.
 
-    Tracks sup-norm errors of the right-window mean and variance
-    estimators against their theoretical limits and of the scaling ratio
-    s/s_hat against the distortion; all three must decrease strictly
-    across scales and the final ratio error must beat final_tol.
+    Tracks sup-norm errors over the grid of step h/30 of the right-window
+    mean and variance estimators against their theoretical limits and of
+    the scaling ratio s/s_hat against the distortion; all three must
+    decrease strictly across scales and the final ratio error must beat
+    0.05.
     """
-    n_levels = [int(n) for n in n_levels]
-    report = LabReport("estimator_consistency", seed, n_levels)
-    grid_step = h / 30 if grid_step is None else grid_step
-    cfg = WindowConfig(model.T, (h,), grid_step)
-    model = _snap_change_point(model, cfg, report)
+    report, cfg, model, p1 = _setup("estimator_consistency", seed, n_levels, h,
+                                    model.T, model)
     grid = cfg.grid(h)
-    p1 = TheoryParams.from_model(model, h, n=1)
     mu_ri = mu_ri_theory(grid, p1)
     sig_ri = sigma2_ri_theory(grid, p1)
     delta_t = distortion(grid, p1)
 
-    sup_mu, sup_sig, sup_ratio = [], [], []
-    for li, n in enumerate(n_levels):
-        p_n = p1.at_scale(n)
-        s_n = s_function(grid, p_n)
-        errs = np.empty((n_reps, 3))
-        for r in range(n_reps):
-            seq = simulate_compound(model.with_scale(n), seed, stream=(li, r))
-            est = window_estimate_series(seq, grid, h, n)
-            ok = est.s_hat > 0.0
-            errs[r, 0] = np.max(np.abs(est.mean_right - mu_ri))
-            errs[r, 1] = np.max(np.abs(est.var_right - sig_ri))
-            errs[r, 2] = np.max(np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok]))
-        sup_mu.append(float(errs[:, 0].mean()))
-        sup_sig.append(float(errs[:, 1].mean()))
-        sup_ratio.append(float(errs[:, 2].mean()))
+    def errors(est, n):
+        s_n = s_function(grid, p1.at_scale(n))
+        ok = est.s_hat > 0.0
+        return {"sup_mu_right_error": np.max(np.abs(est.mean_right - mu_ri)),
+                "sup_sigma2_right_error": np.max(np.abs(est.var_right - sig_ri)),
+                "sup_scaling_ratio_error":
+                    np.max(np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok]))}
 
-    report.metrics["sup_mu_right_error"] = sup_mu
-    report.metrics["sup_sigma2_right_error"] = sup_sig
-    report.metrics["sup_scaling_ratio_error"] = sup_ratio
-    report.thresholds = {"final_tol": final_tol, "n_reps": n_reps}
-    trend_ok = (len(n_levels) >= 3 and _strictly_decreasing(sup_mu)
-                and _strictly_decreasing(sup_sig)
-                and _strictly_decreasing(sup_ratio))
-    final_ok = sup_ratio[-1] < final_tol
-    report.details["criteria"] = {"trend": trend_ok, "final_level": final_ok}
-    report.passed = trend_ok and final_ok
-    if not trend_ok:
-        report.notes.append("some sup-norm error did not decrease strictly")
-    if not final_ok:
-        report.notes.append(f"final scaling-ratio error above {final_tol}")
-    return report
+    trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, _RATIO_FINAL_TOL,
+                               errors)
+    return _verdict(
+        report, trend=(trend_ok, "some sup-norm error did not decrease strictly"),
+        final_level=(report.metrics["sup_scaling_ratio_error"][-1] < _RATIO_FINAL_TOL,
+                     f"final scaling-ratio error above {_RATIO_FINAL_TOL}"))
 
 
 def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
-                                n_reps: int = 1000, probes=None,
-                                rel_tol: float = 0.02) -> LabReport:
+                                n_reps: int = 1000, probes=None) -> LabReport:
     """Adjudicate the two readings of the window-variance interpolation.
 
     The replicate-averaged right-window variance estimator at interior
     probe times is compared against the mixture interpolation (cross
     term (mu1-mu2)^2) and against the variant with cross term
     (mu1+mu2)^2.  Passing means: the mixture form matches simulation
-    within rel_tol at every probe while the variant misses at one or
-    more probes.
+    within 2 % at every probe while the variant misses at one or more
+    probes.
     """
     report = LabReport("window_variance_forms", seed, [1])
     c, T = model.c, model.T
@@ -499,21 +480,17 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     dev_alt = np.abs(emp / alt - 1.0)
     report.metrics["max_rel_dev_mixture"] = [float(dev_mix.max())]
     report.metrics["max_rel_dev_sum_variant"] = [float(dev_alt.max())]
-    report.thresholds = {"rel_tol": rel_tol, "n_reps": n_reps}
+    report.thresholds = {"rel_tol": _VARIANCE_REL_TOL, "n_reps": n_reps}
     report.details = {
         "probes": probes.tolist(), "empirical": emp.tolist(),
         "mixture_form": mix.tolist(), "sum_variant": alt.tolist(),
         "rel_dev_mixture": dev_mix.tolist(), "rel_dev_sum_variant": dev_alt.tolist(),
     }
-    mixture_ok = bool(np.all(dev_mix <= rel_tol))
-    variant_rejected = bool(np.any(dev_alt > rel_tol))
-    report.details["criteria"] = {"mixture_within_tol": mixture_ok,
-                                  "sum_variant_rejected": variant_rejected}
-    report.passed = mixture_ok and variant_rejected
-    if not mixture_ok:
-        report.notes.append("mixture form missed the simulated window variance")
-    if not variant_rejected:
-        report.notes.append("sum-cross-term variant was not distinguishable")
+    _verdict(report,
+             mixture_within_tol=(bool(np.all(dev_mix <= _VARIANCE_REL_TOL)),
+                                 "mixture form missed the simulated window variance"),
+             sum_variant_rejected=(bool(np.any(dev_alt > _VARIANCE_REL_TOL)),
+                                   "sum-cross-term variant was not distinguishable"))
     if math.isclose(model.phi1.mu, model.phi2.mu, rel_tol=1e-12):
         report.notes.append("mu1 == mu2: the two forms coincide; adjudication is vacuous")
     return report
@@ -535,22 +512,18 @@ def run_verification_suite(seed: int = DEFAULT_SUITE_SEED,
     full = scale == "full"
     h = 150.0
     reports = [
-        check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h,
-                       n_levels=(1, 4, 16),
-                       n_reps=6000 if full else 600,
-                       seed=seed, grid_step=5.0),
+        check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, n_levels=(1, 4, 16),
+                       n_reps=6000 if full else 600, seed=seed),
         check_alternative_limit(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                n_reps=400 if full else 120,
-                                seed=seed, grid_step=5.0),
+                                n_reps=400 if full else 120, seed=seed),
         check_window_lln(DISTORTION_B, h, n_levels=(16, 64, 256) if full
                          else (4, 16, 64),
-                         seed=seed, grid_step=5.0,
-                         final_tol=0.05 if full else 0.12),
+                         seed=seed, final_tol=0.05 if full else 0.12),
         replace(check_estimator_consistency(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                            seed=seed, grid_step=5.0),
+                                            seed=seed),
                 experiment="estimator_consistency_shape_change"),
         replace(check_estimator_consistency(DISTORTION_B, h, n_levels=(1, 4, 16),
-                                            seed=seed, grid_step=5.0),
+                                            seed=seed),
                 experiment="estimator_consistency_rate_change"),
         check_window_variance_forms(DISTORTION_A, h, seed=seed,
                                     n_reps=1000 if full else 200),

@@ -142,11 +142,6 @@ class RenewalSpec:
             d["sampler_id"] = self.sampler_id
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RenewalSpec":
-        return cls(d["family"], d["mu"], d["sigma2"], shape=d.get("shape"),
-                   rate=d.get("rate"), sampler_id=d.get("sampler_id"))
-
 
 # ---------------------------------------------------------------------------
 # event sequences
@@ -288,11 +283,6 @@ class ChangePointModel:
     def to_dict(self) -> dict:
         return {"phi1": self.phi1.to_dict(), "phi2": self.phi2.to_dict(),
                 "c": self.c, "T": self.T, "n": int(self.n)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChangePointModel":
-        return cls(RenewalSpec.from_dict(d["phi1"]), RenewalSpec.from_dict(d["phi2"]),
-                   d["c"], d["T"], int(d.get("n", 1)))
 
 
 def _skip_count(spec: RenewalSpec, lo: float) -> int:

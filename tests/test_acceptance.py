@@ -154,7 +154,7 @@ def test_08_estimator_consistency():
     ok = True
     parts = []
     for label, model in (("shape-change", DISTORTION_A), ("rate-change", DISTORTION_B)):
-        rep = check_estimator_consistency(model, H, (1, 4, 16), seed=5, grid_step=5.0)
+        rep = check_estimator_consistency(model, H, (1, 4, 16), seed=5)
         strict = all(
             b < a for key in ("sup_mu_right_error", "sup_sigma2_right_error",
                               "sup_scaling_ratio_error")

@@ -16,6 +16,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """run's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_csv(path, skip=2):
     return np.loadtxt(path, delimiter=",", skiprows=skip)
 
@@ -149,6 +157,19 @@ def test_detect_rejects_unversioned_threshold_table(tmp_path, table_file, capsys
     err = capsys.readouterr().err
     assert "old_table.json" in err and "version" in err
     assert not (tmp_path / "detection.json").exists()
+
+
+def test_detect_table_refuses_a_different_delta(tmp_path, table_file, capsys):
+    # the table was built at delta 5; its own grid step is what detect uses
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 4,
+               "--out-dir", tmp_path) == 0
+    args = ("detect", "--input", tmp_path / "events.txt", "--table", table_file,
+            "--h", 150, "--out-dir", tmp_path)
+    assert run(*args, "--delta", 3) == 2
+    err = capsys.readouterr().err
+    assert table_file.name in err and "5.0" in err and "3.0" in err
+    assert not (tmp_path / "detection.json").exists()
+    assert run(*args, "--delta", 5) == 0
 
 
 def test_detect_missing_input(tmp_path, capsys):
@@ -285,6 +306,43 @@ def test_config_scalar_h_for_detect(tmp_path, capsys):
     assert run("detect", "--input", tmp_path / "events.txt", "--h", 150, "--delta", 5,
                "--n-sims", 500, "--seed", 2, "--out-dir", tmp_path) == 0
     assert "cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cfg, flag", [
+    ("simulate", {"p1": 1, "l1": 1, "T": 10, "n": 2.7}, "--n"),
+    ("simulate", {"p1": 1, "l1": 1, "T": 10, "seed": 1.9}, "--seed"),
+    ("simulate", {"p1": 1, "l1": 1, "T": 10, "n": True}, "n"),
+    ("verify", {"scale": "huge"}, "--scale"),
+], ids=["float_n", "float_seed", "bool_n", "unknown_scale"])
+def test_config_values_are_refused_where_their_flag_text_is(tmp_path, capsys,
+                                                            command, cfg, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, "--config", path, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert flag in err and path.name in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", "--delta", 0),
+    ("theory", "--delta", -5),
+    ("theory", "--delta", "nan"),
+    ("detect", "--input", "events.txt", "--n", 0),
+    ("simulate", "--p1", 1, "--l1", 1, "--T", 10, "--n", 0),
+    ("threshold", "--T", 1000, "--h", 150, "--workers", 0),
+    ("detect", "--input", "events.txt", "--workers", -1),
+    ("theory", "--config", {"n": -2}),
+], ids=["theory_delta_0", "theory_delta_negative", "theory_delta_nan", "detect_n_0",
+        "simulate_n_0", "threshold_workers_0", "detect_workers_negative", "config_n"])
+def test_non_positive_n_delta_workers_refused_when_parsing(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], path)
+    assert exit_code(*argv, "--out-dir", tmp_path / "out") == 2
+    assert "invalid positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "theory", "verify"])

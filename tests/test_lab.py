@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -80,8 +81,8 @@ def test_insufficient_replicates_fail_with_note():
 ], ids=["alternative_limit", "window_lln", "estimator_consistency"])
 def test_off_grid_change_point_is_snapped_with_note(check, kwargs):
     off = ChangePointModel(DISTORTION_A.phi1, DISTORTION_A.phi2, 501.0, 1000.0)
-    snapped = check(off, 150.0, (1, 2), seed=3, grid_step=5.0, **kwargs)
-    on_grid = check(DISTORTION_A, 150.0, (1, 2), seed=3, grid_step=5.0, **kwargs)
+    snapped = check(off, 150.0, (1, 2), seed=3, **kwargs)
+    on_grid = check(DISTORTION_A, 150.0, (1, 2), seed=3, **kwargs)
     assert snapped.notes[0] == "change point snapped to grid: 501.0 -> 500.0"
     assert snapped.notes[1:] == on_grid.notes
     assert snapped.metrics == on_grid.metrics
@@ -111,7 +112,7 @@ def test_h0_probes_exchangeable_under_null():
 
 def test_h0_limit_example_configuration():
     rep = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 4, 16),
-                         n_reps=500, seed=1, grid_step=5.0)
+                         n_reps=500, seed=1)
     assert rep.passed
     assert rep.metrics["mean_ks"][-1] < rep.metrics["mean_ks"][0]
     # final level also clears the plain 5% two-sample critical value
@@ -126,7 +127,7 @@ def test_h0_limit_example_configuration():
 
 def test_alternative_limit_smoke_passes():
     rep = check_alternative_limit(DISTORTION_A, 150.0, (1, 4, 16), n_reps=150,
-                                  seed=3, grid_step=5.0)
+                                  seed=3)
     assert rep.passed
     assert set(rep.metrics) == {"ks_gamma_vs_limit",
                                 "ks_estimated_vs_distorted_limit"}
@@ -186,7 +187,7 @@ def test_alternative_limit_cut_equals_full_horizon(monkeypatch, model, probes,
                                                    cut_T, seed):
     cut, full, horizons = run_cut_and_full(
         monkeypatch, check_alternative_limit, model, 150.0, (1, 2), n_reps=6,
-        seed=seed, grid_step=5.0, probes=probes, n_ref=12)
+        seed=seed, probes=probes, n_ref=12)
     assert horizons == {cut_T}
     assert cut == full
 
@@ -211,7 +212,7 @@ def test_window_variance_forms_cut_equals_full_horizon(monkeypatch, model, probe
 
 
 def test_window_lln_strong_change_decreases():
-    rep = check_window_lln(SHARK_WEST, 150.0, (1, 4, 16), seed=4, grid_step=5.0)
+    rep = check_window_lln(SHARK_WEST, 150.0, (1, 4, 16), seed=4)
     sups = rep.metrics["sup_rate_error_right"]
     assert sups[2] < sups[1] < sups[0]
     # rate reaches 20, so the absolute tolerance gate is out of reach here
@@ -221,14 +222,13 @@ def test_window_lln_strong_change_decreases():
 def test_window_lln_flat_model_compares_to_constant_rate():
     spec = RenewalSpec.gamma(1, 2)
     model = ChangePointModel(spec, spec, c=500.0, T=1000.0)
-    rep = check_window_lln(model, 150.0, (4, 16, 64), seed=5, grid_step=5.0)
+    rep = check_window_lln(model, 150.0, (4, 16, 64), seed=5)
     assert rep.passed
 
 
 def test_estimator_consistency_passes_for_distortion_models():
     for model in (DISTORTION_A, DISTORTION_B):
-        rep = check_estimator_consistency(model, 150.0, (1, 4, 16), seed=6,
-                                          grid_step=5.0)
+        rep = check_estimator_consistency(model, 150.0, (1, 4, 16), seed=6)
         assert rep.passed, rep.notes
         for key in ("sup_mu_right_error", "sup_sigma2_right_error",
                     "sup_scaling_ratio_error"):
@@ -259,6 +259,23 @@ def test_window_variance_forms_rejects_bad_probes():
 # packaged suite
 
 
+# sha256 of each smoke report's to_json() at DEFAULT_SUITE_SEED.  The pins
+# depend on numpy's generator streams (PCG64 and its gamma, normal and
+# exponential samplers): a numpy release that changes a stream moves them.
+SMOKE_REPORT_SHA256 = {
+    "h0_limit": "e49f4766532532e774ae6460c62725b2ec0d812c20d5d0a55a54e71e273e8065",
+    "alternative_limit":
+        "eb0f9db4d8c02e59c6db1533d360e32c7abcb43750385bb59ab8a93a0fb5dfac",
+    "window_lln": "0ebd5dacdb89fcd00cc8d5cfef7d9231328199751a30e5c89da7a8d38d18bd4b",
+    "estimator_consistency_shape_change":
+        "1984997c329170ba871c5a38c8d4b380d799e11785f2fcfff7fcc1da96e66ec4",
+    "estimator_consistency_rate_change":
+        "b3ce74a81b3e414b56b82fdbec92d5fc8b3d98586bf027ce002025f7e6699e38",
+    "window_variance_forms":
+        "a28aaafa6ddf73bb8d6bea0dd180d5aabdb5f1d533a3f4ee154a6df4a25da60e",
+}
+
+
 def test_verification_suite_smoke_all_pass():
     reports = run_verification_suite(scale="smoke")
     names = [r.experiment for r in reports]
@@ -272,6 +289,9 @@ def test_verification_suite_smoke_all_pass():
     for r in reports:
         assert json.loads(r.to_json())["passed"] is True
         assert "PASS" in r.summary()
+    # the report bytes are pinned
+    assert {r.experiment: hashlib.sha256(r.to_json().encode()).hexdigest()
+            for r in reports} == SMOKE_REPORT_SHA256
 
 
 def test_verification_suite_rejects_unknown_scale():
@@ -280,7 +300,7 @@ def test_verification_suite_rejects_unknown_scale():
 
 
 def test_reports_reproducible_bit_exactly():
-    kwargs = dict(n_reps=60, seed=9, grid_step=5.0)
+    kwargs = dict(n_reps=60, seed=9)
     a = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 2), **kwargs)
     b = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 2), **kwargs)
     assert a.to_json() == b.to_json()
@@ -289,5 +309,5 @@ def test_reports_reproducible_bit_exactly():
 def test_trend_criteria_require_three_levels():
     # two scales are never enough to claim a convergence trend
     rep = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 16),
-                         n_reps=200, seed=10, grid_step=5.0)
+                         n_reps=200, seed=10)
     assert not rep.passed
