@@ -63,7 +63,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--n-sims", type=int, default=10000,
                        help="null replicates (default %(default)s)")
         p.add_argument("--workers", type=_positive(int), default=1,
-                       help="worker processes for the null threshold (default %(default)s)")
+                       help="worker processes for the null threshold, each overlapping "
+                       "its draws with one helper thread (default %(default)s)")
 
     p = command("simulate", "simulate a renewal or change-point process")
     p.add_argument("--p1", type=float, help="gamma shape before the change")

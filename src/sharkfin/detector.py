@@ -185,6 +185,8 @@ def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,
     if n_sims % _BLOCK:
         sizes.append(n_sims % _BLOCK)
     jobs = [(T, cfg.h_set, grid_step, seed, b, size) for b, size in enumerate(sizes)]
+    # the pool starts all its processes at once, so it gets no more than blocks
+    workers = min(workers, len(jobs))
     if workers > 1:
         # imported here: the process pool module costs every import of the package
         from concurrent.futures import ProcessPoolExecutor

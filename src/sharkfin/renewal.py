@@ -295,6 +295,16 @@ def _skip_count(spec: RenewalSpec, lo: float) -> int:
     return max(0, math.floor(lo / spec.mu - 8.0 * math.sqrt(lo * spec.sigma2 / spec.mu**3)))
 
 
+def _may_tie(life_times: np.ndarray, hi: float) -> bool:
+    """Whether summing these life times can give a tie at or below hi.
+
+    A sum s + x rounds back to s only if x <= spacing(s)/2, and
+    spacing(s) <= spacing(hi) for s <= hi; so when every life time
+    exceeds spacing(hi), the strictness pass would change nothing.
+    """
+    return bool(life_times.min() <= np.spacing(hi))
+
+
 def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
                     hi: float) -> np.ndarray:
     """Strictly increasing events in (lo, hi] of a renewal process started at 0.
@@ -303,7 +313,8 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     sum until it passes hi.  The first chunk covers the mean count of
     the span plus six standard deviations, so a second chunk is rare.
     Strict increase is enforced once, on the times up to hi that were
-    drawn, and the result is the part in (lo, hi].
+    drawn, and only if a tie is possible there (see _may_tie); the
+    result is the part in (lo, hi].
 
     For gamma life times with lo > 0, the first K = _skip_count(spec, lo)
     renewals are skipped: S_K, a sum of K i.i.d. Gamma(p, rate) life
@@ -326,15 +337,19 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     span = max(hi - start, 0.0)
     chunk = int(span / spec.mu + 6.0 * math.sqrt(span * spec.sigma2 / spec.mu**3)) + 16
     total = start
+    ties = bool(parts)      # the bridge's scaled sums may tie
     while total <= hi:
         xi = spec.draw(rng, chunk)
+        ties = ties or _may_tie(xi, hi)
         xi[0] += total
         np.cumsum(xi, out=xi)
         parts.append(xi)
         total = float(xi[-1])
         chunk = max(chunk // 4, 1024)
     times = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    times = _enforce_strict_increase(times[:np.searchsorted(times, hi, side="right")])
+    times = times[:np.searchsorted(times, hi, side="right")]
+    if ties:
+        times = _enforce_strict_increase(times)
     return times[np.searchsorted(times, lo, side="right"):
                  np.searchsorted(times, hi, side="right")]
 

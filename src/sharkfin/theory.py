@@ -316,18 +316,42 @@ def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
     `standard_normal` fills rows identically however a draw is split; so
     seeded results do not depend on the chunking.  `w` is one reused
     buffer, overwritten by the next chunk.
+
+    One helper thread draws each chunk after the first into a second
+    increments buffer while this thread scales and sums the chunk before
+    it and the caller reads that; numpy releases the GIL in both.  The
+    draws still run one at a time and in chunk order, so the values, and
+    the state of `rng` after a full pass, are those of the serial draw.
+    The draw runs one chunk ahead: after an early close, `rng` has
+    advanced one chunk past the last one yielded.  Every caller in this
+    package draws from a fresh substream and reads it to the end.
     """
+    # imported here: the thread pool module costs every import of the package
+    from concurrent.futures import ThreadPoolExecutor
+
     rows = max(1, min(n_paths, _CHUNK_BYTES // (8 * (n_steps + 1))))
-    incs = np.empty((rows, n_steps))
+    starts = range(0, n_paths, rows)
+    incs = [np.empty((rows, n_steps)) for _ in range(2)]
     w = np.empty((rows, n_steps + 1))
     w[:, 0] = 0.0
     scale = math.sqrt(step)
-    for start in range(0, n_paths, rows):
-        r = min(rows, n_paths - start)
-        rng.standard_normal(out=incs[:r])
-        incs[:r] *= scale
-        np.cumsum(incs[:r], axis=1, out=w[:r, 1:])
-        yield slice(start, start + r), w[:r]
+
+    def draw(i):
+        buf = incs[i % 2][:min(rows, n_paths - starts[i])]
+        rng.standard_normal(out=buf)
+        return buf
+
+    # leaving the block waits for the pending draw, also on an early close
+    with ThreadPoolExecutor(1) as pool:
+        pending = None
+        for i, start in enumerate(starts):
+            chunk = pending.result() if pending else draw(i)
+            if i + 1 < len(starts):
+                pending = pool.submit(draw, i + 1)
+            chunk *= scale
+            r = len(chunk)
+            np.cumsum(chunk, axis=1, out=w[:r, 1:])
+            yield slice(start, start + r), w[:r]
 
 
 def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,

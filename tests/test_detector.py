@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -117,6 +120,74 @@ def test_brownian_kernel_matches_full_matrix_oracle(chunks):
 
     args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 3, n_paths)
     assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
+
+
+def test_brownian_kernel_leaves_the_state_of_one_draw():
+    # a short switch interval makes the two threads interleave finely
+    n_steps = 1000
+    rng, ref = substream(4, 3), substream(4, 3)
+    n_paths = 3 * len(next(brownian_blocks(substream(1), 10**6, n_steps, 1.0))[1]) + 7
+    expect = _brownian_paths(ref, n_paths, n_steps, 0.5)
+    got = np.empty_like(expect)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rows, w in brownian_blocks(rng, n_paths, n_steps, 0.5):
+            got[rows] = w
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, expect)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_brownian_kernel_stops_its_helper_thread_on_early_exit():
+    n_steps = 1000
+    baseline = threading.active_count()
+    rng, ref = substream(4, 4), substream(4, 4)
+    blocks = brownian_blocks(rng, 10**4, n_steps, 1.0)
+    rows = len(next(blocks)[1])
+    assert threading.active_count() == baseline + 1
+    blocks.close()
+    assert threading.active_count() == baseline
+    # the helper had drawn one chunk ahead of the one yielded
+    ref.standard_normal((2 * rows, n_steps))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    with pytest.raises(KeyError):
+        for rows, w in brownian_blocks(substream(4, 5), 10**4, n_steps, 1.0):
+            if rows.start > 0:
+                raise KeyError(rows)
+    assert threading.active_count() == baseline
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, n_sims, pools", [
+    (8, 1000, []), (8, 2100, [3]), (2, 5000, [2]), (1, 5000, [])])
+def test_threshold_pool_gets_no_more_workers_than_blocks(workers, n_sims, pools,
+                                                          monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    table = simulate_threshold(1000.0, [150.0], 5.0, 0.05, n_sims, seed=3,
+                               workers=workers)
+    assert RecordingPool.sizes == pools
+    assert table == simulate_threshold(1000.0, [150.0], 5.0, 0.05, n_sims, seed=3)
 
 
 def test_threshold_block_memory_is_bounded():

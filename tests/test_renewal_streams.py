@@ -95,6 +95,50 @@ def test_strict_increase_tie_run_cascades_past_next_value():
         assert same_bits(renewal._enforce_strict_increase(short.copy()), short)
 
 
+def spy_strictness_pass(monkeypatch):
+    """Record the size of every strictness pass that runs."""
+    calls, real = [], renewal._enforce_strict_increase
+    monkeypatch.setattr(renewal, "_enforce_strict_increase",
+                        lambda times: calls.append(times.size) or real(times))
+    return calls
+
+
+def test_tie_prone_draws_take_the_strictness_pass(monkeypatch):
+    calls = spy_strictness_pass(monkeypatch)
+    spec = RenewalSpec.gamma(1 / 20, 1 / 20)
+    for seed in (0, 1):
+        seq = simulate_renewal(spec, 2000.0, seed, stream=(4,))
+        assert same_bits(seq.events, oracle_simulate_renewal(spec, 2000.0, seed, (4,)))
+    assert len(calls) == 2
+    # DISTORTION_A's gamma(1/4) second law draws life times below
+    # spacing(n*T); its exponential first law does not
+    simulate_compound(DISTORTION_A.with_scale(16), seed=1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["gamma_1", "gamma_20", "uniform"])
+def test_skipped_strictness_pass_changes_no_bit(name, monkeypatch):
+    spec = RENEWAL_SPECS[name]
+    runs = [(lo, hi, seed) for lo, hi in ((0.0, 2000.0), (500.0, 620.0)) for seed in range(3)]
+    calls = spy_strictness_pass(monkeypatch)
+    skipped = [renewal._events_between(spec, substream(seed, 8), lo, hi)
+               for lo, hi, seed in runs]
+    assert calls == []
+    monkeypatch.setattr(renewal, "_may_tie", lambda life_times, hi: True)
+    for (lo, hi, seed), got in zip(runs, skipped):
+        assert same_bits(got, renewal._events_between(spec, substream(seed, 8), lo, hi))
+    assert len(calls) == len(runs)
+
+
+def test_dirichlet_bridge_takes_the_strictness_pass(monkeypatch):
+    # S_600 of gamma(20, 20) life times lies near 600 > lo, so the bridge runs
+    monkeypatch.setattr(renewal, "_skip_count", lambda spec, lo: 600)
+    calls = spy_strictness_pass(monkeypatch)
+    spec = RENEWAL_SPECS["gamma_20"]
+    assert renewal._events_between(spec, substream(2), 500.0, 620.0).size
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # bit-identical outputs
 
