@@ -17,6 +17,13 @@ k events contributes k-1 life times to the mean (divisor k-1) and the
 same k-1 squared deviations to the variance (divisor k-2).  Windows with
 too few events fall back to the zero convention, and a zero mean or zero
 variance makes the window contribute nothing to s_hat.
+
+The three processes evaluate on the grid of a `WindowConfig`, where
+t - h, t and t + h are lattice nodes: they read every window as a lattice
+interval, from one lookup of the event counts at the lattice nodes that
+all window sizes share (`EventSequence.lattice_counts`), and compute each
+interval's half-window statistics once.  `window_estimate_series` serves
+arbitrary nodes.  Both front ends apply the same half-window formula.
 """
 
 from __future__ import annotations
@@ -73,9 +80,40 @@ class WindowEstimateSeries:
     s_hat: np.ndarray        # estimated scaling, 0 where undefined
 
 
+def _half_windows(seq: EventSequence, lo: np.ndarray, hi: np.ndarray):
+    """Count, mean and variance of the windows holding events lo..hi-1.
+
+    lo and hi are event counts N at the window edges, so the window
+    (a, b] holds the events with 0-based indices lo = N_a .. hi - 1 = N_b - 1.
+    """
+    s = seq.events
+    sq = seq.life_time_square_prefix()
+    last = len(s) - 1
+    cnt = hi - lo
+    many = cnt > 1
+    # sum of life times with 0-based index in [lo+1, hi-1] via event-time
+    # partial sums; gather is clipped and masked where cnt <= 1
+    tot = s[np.clip(hi - 1, 0, last)] - s[np.clip(lo, 0, last)]
+    mean = np.where(many, tot / np.maximum(cnt - 1, 1), 0.0)
+    totsq = sq[hi] - sq[np.minimum(lo + 1, hi)]
+    var = (totsq - np.maximum(cnt - 1, 1) * mean**2) / np.maximum(cnt - 2, 1)
+    var = np.where(cnt > 2, np.maximum(var, 0.0), 0.0)
+    return cnt, mean, var
+
+
+def _scaling_term(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """One window's share var/mean^3 of s_hat^2/(n h); 0 where mean or var is 0."""
+    ok = (mean > 0.0) & (var > 0.0)
+    return np.where(ok, var / np.where(ok, mean, 1.0) ** 3, 0.0)
+
+
 def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
                            n: int = 1) -> WindowEstimateSeries:
-    """Evaluate both window halves at every grid node in O(log N) per node."""
+    """Evaluate both window halves at every grid node in O(log N) per node.
+
+    Serves arbitrary nodes; the statistic processes, whose nodes are the
+    lattice of a `WindowConfig`, read their windows from `_lattice_windows`.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size:
         _check_window(seq, n, grid[0] - h, grid[-1] + h)
@@ -87,37 +125,39 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
             mean_left=zeros, mean_right=zeros.copy(), var_left=zeros.copy(),
             var_right=zeros.copy(), count_diff=zeros.copy(), s_hat=zeros.copy())
     s = seq.events
-    sq = seq.life_time_square_prefix()
-    last = max(len(s) - 1, 0)
-
     le = np.searchsorted(s, n * (grid - h), side="right")
     mi = np.searchsorted(s, n * grid, side="right")
     ri = np.searchsorted(s, n * (grid + h), side="right")
-
-    def half(lo, hi):
-        cnt = hi - lo
-        many = cnt > 1
-        # sum of life times with 0-based index in [lo+1, hi-1] via event-time
-        # partial sums; gather is clipped and masked where cnt <= 1
-        tot = s[np.clip(hi - 1, 0, last)] - s[np.clip(lo, 0, last)]
-        mean = np.where(many, tot / np.maximum(cnt - 1, 1), 0.0)
-        totsq = sq[hi] - sq[np.minimum(lo + 1, hi)]
-        var = (totsq - np.maximum(cnt - 1, 1) * mean**2) / np.maximum(cnt - 2, 1)
-        var = np.where(cnt > 2, np.maximum(var, 0.0), 0.0)
-        return cnt, np.where(many, mean, 0.0), var
-
-    cnt_l, mean_l, var_l = half(le, mi)
-    cnt_r, mean_r, var_r = half(mi, ri)
-
-    def term(mean, var):
-        ok = (mean > 0.0) & (var > 0.0)
-        return np.where(ok, var / np.where(ok, mean, 1.0) ** 3, 0.0)
-
-    shat = np.sqrt((term(mean_r, var_r) + term(mean_l, var_l)) * n * h)
+    cnt_l, mean_l, var_l = _half_windows(seq, le, mi)
+    cnt_r, mean_r, var_r = _half_windows(seq, mi, ri)
+    shat = np.sqrt((_scaling_term(mean_r, var_r) + _scaling_term(mean_l, var_l))
+                   * n * h)
     return WindowEstimateSeries(
         grid=grid, count_left=cnt_l, count_right=cnt_r,
         mean_left=mean_l, mean_right=mean_r, var_left=var_l, var_right=var_r,
         count_diff=(cnt_r - cnt_l).astype(float), s_hat=shat)
+
+
+def _lattice_windows(seq: EventSequence, cfg: WindowConfig, h: float, n: int):
+    """Grid, count difference and s_hat of window size h on cfg.grid(h).
+
+    With h = k * grid_step, node j's halves are the lattice intervals
+    (x_{j-k}, x_j] and (x_j, x_{j+k}].  The half-window formula runs once
+    per interval (x_a, x_{a+k}], on the counts `seq.lattice_counts` looked
+    up once for all window sizes; node j reads entry j - k (left half)
+    and entry j (right half).
+    """
+    j = cfg.grid_indices(h)
+    grid = j * cfg.grid_step
+    _check_window(seq, n, grid[0] - h, grid[-1] + h)
+    if len(seq) == 0:
+        return grid, np.zeros(grid.size), np.zeros(grid.size)
+    k = int(j[0])                     # the grid starts at node h = k * grid_step
+    idx = seq.lattice_counts(cfg.grid_step, int(j[-1]) + k, n)
+    cnt, mean, var = _half_windows(seq, idx[:-k], idx[k:])
+    term = _scaling_term(mean, var)
+    shat = np.sqrt((term[k:] + term[:-k]) * n * h)
+    return grid, (cnt[k:] - cnt[:-k]).astype(float), shat
 
 
 def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:
@@ -140,10 +180,9 @@ def D_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int,
         raise ValueError(f"mu must be positive, got {mu}")
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    grid = cfg.grid(h)
-    est = window_estimate_series(seq, grid, h, n)
+    grid, count_diff, _ = _lattice_windows(seq, cfg, h, n)
     scale = math.sqrt(2.0 * n * h * sigma2 / mu**3)
-    return StatisticSeries(grid=grid, values=est.count_diff / scale,
+    return StatisticSeries(grid=grid, values=count_diff / scale,
                            valid=np.ones(grid.size, dtype=bool),
                            h=h, n=n, grid_step=cfg.grid_step)
 
@@ -156,9 +195,8 @@ def Gamma_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int,
     overrides the model's own and must match the simulated sequence.
     """
     p = TheoryParams.from_model(model, h=h, n=n)
-    grid = cfg.grid(h)
-    est = window_estimate_series(seq, grid, h, n)
-    values = (est.count_diff - m_function(grid, p)) / s_function(grid, p)
+    grid, count_diff, _ = _lattice_windows(seq, cfg, h, n)
+    values = (count_diff - m_function(grid, p)) / s_function(grid, p)
     return StatisticSeries(grid=grid, values=values,
                            valid=np.ones(grid.size, dtype=bool),
                            h=h, n=n, grid_step=cfg.grid_step)
@@ -170,9 +208,8 @@ def G_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int) -> Statis
     Nodes where s_hat is zero carry value 0.0 and valid=False instead of
     aborting the path: a single empty window must not kill the series.
     """
-    grid = cfg.grid(h)
-    est = window_estimate_series(seq, grid, h, n)
-    valid = est.s_hat > 0.0
-    values = np.where(valid, est.count_diff / np.where(valid, est.s_hat, 1.0), 0.0)
+    grid, count_diff, shat = _lattice_windows(seq, cfg, h, n)
+    valid = shat > 0.0
+    values = np.where(valid, count_diff / np.where(valid, shat, 1.0), 0.0)
     return StatisticSeries(grid=grid, values=values, valid=valid,
                            h=h, n=n, grid_step=cfg.grid_step)

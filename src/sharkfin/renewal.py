@@ -230,6 +230,25 @@ class EventSequence:
         """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1."""
         return self._life_sq_prefix
 
+    @cached_property
+    def _lattice_cache(self) -> dict:
+        return {}
+
+    def lattice_counts(self, step: float, size: int, n: float = 1) -> np.ndarray:
+        """Counts N at n * (j * step) for j = 0..size, looked up once per lattice.
+
+        Cached read-only per (step, size, n), so the statistic processes of
+        every window size over one `WindowConfig` share one search.
+        """
+        key = (step, size, n)
+        idx = self._lattice_cache.get(key)
+        if idx is None:
+            idx = np.searchsorted(self.events, n * (np.arange(size + 1) * step),
+                                  side="right")
+            idx.flags.writeable = False
+            self._lattice_cache[key] = idx
+        return idx
+
     def count_at(self, t: float) -> int:
         """N_t, the number of events in (0, t]."""
         return int(np.searchsorted(self.events, t, side="right"))
@@ -405,9 +424,11 @@ class WindowConfig:
     """Analysis grid: window sizes h and a uniform step over [h, T-h].
 
     Every grid node sits on the lattice {j * grid_step}; each window size
-    must be an integral number of steps so that t - h, t and t + h are
-    all lattice nodes.  That is what lets the limit-process simulation
-    resolve the window offsets by pure index arithmetic.
+    must be a positive integral number of steps so that t - h, t and t + h
+    are all lattice nodes.  That is what lets the limit-process simulation
+    resolve the window offsets by pure index arithmetic, and what lets the
+    statistic processes of `filtered` read every window as a lattice
+    interval from one lookup of the event counts at the lattice nodes.
     """
 
     T: float
@@ -429,18 +450,26 @@ class WindowConfig:
         for h in hs:
             if not (0 < h <= self.T / 2):
                 raise ValueError(f"window size must lie in (0, T/2], got h={h}, T={self.T}")
-            _align_ratio(h, self.grid_step, "window size")
+            self._window_steps(h)
         object.__setattr__(self, "h_set", hs)
 
     def lattice_size(self) -> int:
         """Largest lattice index j with j * grid_step <= T."""
         return int(math.floor(self.T / self.grid_step + _ALIGN_RTOL))
 
+    def _window_steps(self, h: float) -> int:
+        """The number k >= 1 of grid steps in window size h."""
+        k = _align_ratio(h, self.grid_step, "window size")
+        if k < 1:
+            raise ConfigurationError(
+                f"window size {h} is shorter than one grid step {self.grid_step}")
+        return k
+
     def grid_indices(self, h: float) -> np.ndarray:
         """Lattice indices of the analysis region [h, T-h] for window h."""
         if not (0 < h <= self.T / 2):
             raise ValueError(f"window size must lie in (0, T/2], got h={h}, T={self.T}")
-        j0 = _align_ratio(h, self.grid_step, "window size")
+        j0 = self._window_steps(h)
         j1 = int(math.floor((self.T - h) / self.grid_step + _ALIGN_RTOL))
         return np.arange(j0, j1 + 1)
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ from sharkfin import detector
 from sharkfin.detector import (TABLE_VERSION, ThresholdTable, _h0_block, detect,
                                estimate_change_points, merge_across_windows,
                                simulate_threshold, threshold_cache_key)
+from sharkfin import presets
 from sharkfin.presets import SHARK_WEST
 from sharkfin.renewal import (ConfigurationError, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal,
@@ -468,3 +470,59 @@ def test_detect_json_dict(table_150):
     assert d["reject"] is True
     assert d["series"] == {"150.0": "G_h150.csv"}
     assert all(set(cp) == {"location", "h", "value"} for cp in d["change_points"])
+
+
+# The power-study mix: null gamma(1,1), SHARK_WEST, SHARK_EAST and
+# DISTORTION_A, each at n = 1 and n = 16, on T = 1000 with four windows at
+# delta = 1 against a 10^4-path table; replicate j draws substream (j, 1)
+# (null) or (j,) (change models) of seed 1.
+POWER_H = (50.0, 100.0, 150.0, 200.0)
+POWER_MIX = [(model, n) for model in (None, presets.SHARK_WEST, presets.SHARK_EAST,
+                                      presets.DISTORTION_A) for n in (1, 16)]
+
+
+def _power_replicate(j, model, n):
+    if model is None:
+        return simulate_renewal(RenewalSpec.gamma(1, 1), n * 1000.0, 1, stream=(j, 1))
+    return simulate_compound(model.with_scale(n), 1, stream=(j,))
+
+
+@pytest.fixture(scope="module")
+def power_table():
+    return simulate_threshold(1000.0, POWER_H, 1.0, 0.05, 10_000, seed=1)
+
+
+# sha256 over the mix of every G series' values and valid bytes (ascending
+# h; the benchmark's power_study `G_series` hash at seed 1), and of each
+# DetectionResult.to_json_dict() as sorted-key JSON.  Like the lab pins they
+# depend on numpy's generator streams.
+DETECT_G_SHA256 = "3ebfe3b2de4d0ffa92e92d67a1e924c345be8a86570efd083e8e0a572a3d4787"
+DETECT_RESULT_SHA256 = "4ccb230d826051bda45e657884165773ff301641690332454793734e47365477"
+
+
+def test_detect_power_mix_is_pinned(power_table):
+    g_hash, result_hash = hashlib.sha256(), hashlib.sha256()
+    for j, (model, n) in enumerate(POWER_MIX):
+        res = detect(_power_replicate(j, model, n), 1000.0, n, POWER_H, power_table)
+        for h in sorted(res.per_h_series):
+            series = res.per_h_series[h]
+            g_hash.update(series.values.tobytes() + series.valid.tobytes())
+        result_hash.update(json.dumps(res.to_json_dict(), sort_keys=True).encode())
+    assert g_hash.hexdigest() == DETECT_G_SHA256
+    assert result_hash.hexdigest() == DETECT_RESULT_SHA256
+
+
+def test_detect_looks_events_up_once_for_all_windows(power_table, monkeypatch):
+    seq = _power_replicate(3, presets.SHARK_WEST, 16)
+    searches = []
+    search = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        if a is seq.events:
+            searches.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    res = detect(seq, 1000.0, 16, POWER_H, power_table)
+    assert res.reject and len(res.per_h_series) == 4
+    assert searches == [1001]             # one lookup over the lattice 0..T

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_s_hat, brute_window_stats
+from sharkfin import presets
 from sharkfin.filtered import (D_process, G_process, Gamma_process,
                                read_series_csv, s_hat, window_estimate_series,
                                write_series_csv)
@@ -11,7 +14,8 @@ from sharkfin.presets import DISTORTION_A
 from sharkfin.renewal import (ChangePointModel, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal)
 from sharkfin.series import StatisticSeries
-from sharkfin.theory import TheoryParams, distortion, shark_fin
+from sharkfin.theory import (TheoryParams, distortion, m_function,
+                            s_function, shark_fin)
 
 
 def test_window_stats_right_hand_case():
@@ -253,6 +257,97 @@ def test_G_mean_traces_distorted_fin():
         acc += g.values[cols]
     target = np.array([distortion(t, p) * shark_fin(t, p) for t in probes])
     assert np.all(np.abs(acc / n_reps - target) < 0.2)
+
+
+# ---------------------------------------------------------------------------
+# the statistic processes read their windows from one lattice lookup
+
+
+def _processes_from_series(seq, cfg, h, n, model):
+    """G, D and Gamma values (and G's mask) rebuilt from window_estimate_series."""
+    grid = cfg.grid(h)
+    est = window_estimate_series(seq, grid, h, n)
+    valid = est.s_hat > 0.0
+    g = np.where(valid, est.count_diff / np.where(valid, est.s_hat, 1.0), 0.0)
+    d = est.count_diff / math.sqrt(2.0 * n * h)       # D at mu = sigma2 = 1
+    out = {"G": g, "D": d, "valid": valid, "grid": grid}
+    if model is not None:
+        p = TheoryParams.from_model(model, h=h, n=n)
+        out["Gamma"] = (est.count_diff - m_function(grid, p)) / s_function(grid, p)
+    return out
+
+
+def _assert_lattice_matches_series(seq, cfg, n, model=None):
+    for h in cfg.h_set:
+        want = _processes_from_series(seq, cfg, h, n, model)
+        g = G_process(seq, cfg, h, n)
+        d = D_process(seq, cfg, h, n, mu=1.0, sigma2=1.0)
+        assert np.array_equal(g.grid, want["grid"])
+        assert np.array_equal(g.values, want["G"]), h
+        assert np.array_equal(g.valid, want["valid"]), h
+        assert np.array_equal(d.values, want["D"]), h
+        if model is not None:
+            gam = Gamma_process(seq, cfg, h, n, model)
+            assert np.array_equal(gam.values, want["Gamma"]), h
+
+
+_PRESET_MODELS = {**presets.ORIENTATION_MODELS,
+                  "distortion_a": presets.DISTORTION_A,
+                  "distortion_b": presets.DISTORTION_B}
+
+
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("name", sorted(_PRESET_MODELS))
+def test_processes_on_lattice_equal_window_estimate_series(name, n):
+    # delta = 1 and delta = h/30 = 5 for h = 150; both grids share h = 50
+    model = _PRESET_MODELS[name]
+    seq = simulate_compound(model.with_scale(n), seed=60, stream=(n,))
+    for step in (1.0, presets.DEFAULT_H / 30):
+        cfg = WindowConfig(1000.0, (50.0, presets.DEFAULT_H), step)
+        _assert_lattice_matches_series(seq, cfg, n, model)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A short lattice and a few events, some exactly on lattice nodes."""
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    size = draw(st.integers(2, 12))
+    k = draw(st.integers(1, size // 2))
+    n = draw(st.sampled_from([1, 3]))
+    horizon = n * (size * step)
+    on_nodes = draw(st.lists(st.integers(1, size), max_size=6))
+    free = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), max_size=6))
+    events = np.unique(np.array([n * (j * step) for j in on_nodes] + free, dtype=float))
+    cfg = WindowConfig(size * step, (k * step,), step)
+    return EventSequence(events, horizon), cfg, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lattice_cases())
+def test_processes_on_lattice_property(case):
+    seq, cfg, n = case
+    _assert_lattice_matches_series(seq, cfg, n)
+    # the (a, b] edge rule: counts agree with the definition-level oracle
+    h = cfg.h_set[0]
+    d = D_process(seq, cfg, h, n, mu=1.0, sigma2=1.0)
+    for t, value in zip(d.grid, d.values):
+        right = brute_window_stats(seq.events, n * t, n * (t + h)).count
+        left = brute_window_stats(seq.events, n * (t - h), n * t).count
+        assert value * math.sqrt(2.0 * n * h) == pytest.approx(right - left, abs=1e-9)
+
+
+def test_processes_refuse_a_horizon_shorter_than_n_T():
+    seq = simulate_renewal(RenewalSpec.gamma(1, 1), 900.0, seed=61)
+    cfg = WindowConfig(1000.0, (150.0,), 5.0)
+    with pytest.raises(ValueError) as ref:
+        window_estimate_series(seq, cfg.grid(150.0), 150.0, 1)
+    assert "exceeds event horizon" in str(ref.value)
+    for process in (lambda: G_process(seq, cfg, 150.0, 1),
+                    lambda: D_process(seq, cfg, 150.0, 1, mu=1.0, sigma2=1.0),
+                    lambda: Gamma_process(seq, cfg, 150.0, 1, presets.SHARK_WEST)):
+        with pytest.raises(ValueError) as err:
+            process()
+        assert str(err.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,10 @@ def test_window_config_validation():
         WindowConfig(1000.0, (600.0,), 5.0)       # h > T/2
     with pytest.raises(ConfigurationError):
         WindowConfig(1000.0, (149.0,), 5.0)       # h not multiple of step
+    with pytest.raises(ConfigurationError, match="shorter than one grid step"):
+        WindowConfig(1000.0, (1e-10,), 5.0)       # h rounds to zero steps
+    with pytest.raises(ConfigurationError, match="shorter than one grid step"):
+        WindowConfig(1000.0, (150.0,), 5.0).grid_indices(1e-10)
     with pytest.raises(ValueError):
         WindowConfig(1000.0, (), 5.0)
     with pytest.raises(ValueError):
