@@ -47,7 +47,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     commands = {}
 
     def command(name, help, seed=0):
-        p = commands[name] = sub.add_parser(name, help=help)
+        p = commands[name] = sub.add_parser(name, help=help, description=help)
         p.add_argument("--seed", type=int, default=seed,
                        help="master RNG seed (default %(default)s)")
         p.add_argument("--out-dir", default=".",
@@ -100,7 +100,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=_positive(int), default=m.n, help="default %(default)s")
     p.add_argument("--delta", type=_positive(float), help="grid step (default h/50)")
 
-    p = command("verify", "run the Monte Carlo verification suite", seed=DEFAULT_SUITE_SEED)
+    p = command("verify", "run the Monte Carlo verification suite on one process per "
+                "available CPU; the reports are the same at any process count",
+                seed=DEFAULT_SUITE_SEED)
     p.add_argument("--scale", choices=["smoke", "full"], default="full",
                    help="suite size (default %(default)s)")
     return parser, commands

@@ -31,13 +31,24 @@ across runs.  Trend criteria always use at least three scales.
 Change-point replicates that are read only at probe windows are
 simulated up to the last time a window reads; the events there are
 those of the full-horizon run, bit for bit (see `_observed`).
+
+Replicate r of level li draws from its own substream (li, r), so the
+replicates run in any order and in any process.  `run_verification_suite`
+runs contiguous replicate blocks of every level on one fork process pool
+sized to the available CPUs and reduces the rows in replicate order, so
+its reports are byte-identical at every pool size.  A check called
+directly runs its replicates in-process.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -212,6 +223,65 @@ def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
 
 
 # ---------------------------------------------------------------------------
+# replicate rows
+
+# (pool, workers) of the running suite; checks called directly see the
+# default and run their replicates in-process.
+_SUITE_POOL: ContextVar = ContextVar("sharkfin_lab_pool", default=(None, 1))
+
+
+def _worker_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _block_rows(task) -> list:
+    row, li, n, r0, r1 = task
+    return [row(li, n, r) for r in range(r0, r1)]
+
+
+def _replicate_rows(row, n_levels, n_reps: int) -> list:
+    """For each level li at scale n, the rows row(li, n, r), r < n_reps.
+
+    row is a module-level function, or a partial of one, so that the
+    suite's pool can pickle it.  There each level is split into
+    min(workers, n_reps) contiguous replicate blocks, which come back in
+    order; elsewhere the rows are computed in-process.
+    """
+    pool, workers = _SUITE_POOL.get()
+    k = max(1, min(workers, n_reps))
+    tasks = [(row, li, n, n_reps * b // k, n_reps * (b + 1) // k)
+             for li, n in enumerate(n_levels) for b in range(k)]
+    blocks = iter((pool.map if pool else map)(_block_rows, tasks))
+    return [[x for _ in range(k) for x in next(blocks)] for _ in n_levels]
+
+
+@contextmanager
+def _suite_pool():
+    """Route `_replicate_rows` through a fork process pool with one worker
+    per available CPU, and shut the pool down on leaving, on error too.
+
+    With one CPU, or where fork is missing, the replicates stay in-process.
+    """
+    pool, workers = None, _worker_count()
+    if workers > 1:
+        # imported here: the process pool modules cost every import of the package
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not spawn: a spawned worker imports numpy again (50-220 ms a
+        # pool on 2 cores, against 15-25 ms to fork).  The workers fork at
+        # the suite's first map, when no Brownian helper thread is running.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    token = _SUITE_POOL.set((pool, workers) if pool else (None, 1))
+    try:
+        yield
+    finally:
+        _SUITE_POOL.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # shared sampling helpers
 
 
@@ -267,19 +337,23 @@ def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePo
     return replace(model, T=min(model.T, max(model.c, float(probes.max()) + h)))
 
 
+def _sup_norm_row(model, h, grid, seed, errors, li, n, r) -> dict:
+    seq = simulate_compound(model.with_scale(n), seed, stream=(li, r))
+    return errors(window_estimate_series(seq, grid, h, n), n)
+
+
 def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
                     grid: np.ndarray, n_reps: int, seed: int, final_tol: float,
                     errors) -> bool:
     """Record, per scale, the replicate mean of each sup-norm error on grid.
 
-    errors(est, n) maps one replicate's window estimates at scale n to
-    {metric name: sup-norm error}.  Returns the trend criterion: at least
-    three scales, and every error decreasing strictly across them.
+    errors(est, n), a partial of a module-level function, maps one
+    replicate's window estimates at scale n to {metric name: sup-norm
+    error}.  Returns the trend criterion: at least three scales, and
+    every error decreasing strictly across them.
     """
-    for li, n in enumerate(report.n_levels):
-        reps = [errors(window_estimate_series(simulate_compound(
-                    model.with_scale(n), seed, stream=(li, r)), grid, h, n), n)
-                for r in range(n_reps)]
+    row = partial(_sup_norm_row, model, h, grid, seed, errors)
+    for reps in _replicate_rows(row, report.n_levels, n_reps):
         for name in reps[0]:
             report.metrics.setdefault(name, []).append(
                 float(np.mean([e[name] for e in reps])))
@@ -290,6 +364,11 @@ def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
 
 # ---------------------------------------------------------------------------
 # experiments
+
+
+def _h0_row(spec, T, h, probes, scale_count, seed, li, n, r) -> np.ndarray:
+    seq = simulate_renewal(spec, n * T, seed, stream=(li, r))
+    return _probe_count_diffs(seq.events, probes, h, n) / (scale_count * math.sqrt(n))
 
 
 def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
@@ -315,12 +394,9 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
     scale_count = math.sqrt(2.0 * h * spec.sigma2 / spec.mu**3)
 
     per_level = []
-    for li, n in enumerate(report.n_levels):
-        samples = np.empty((n_reps, probes.size))
-        for r in range(n_reps):
-            seq = simulate_renewal(spec, n * T, seed, stream=(li, r))
-            diffs = _probe_count_diffs(seq.events, probes, h, n)
-            samples[r] = diffs / (scale_count * math.sqrt(n))
+    row = partial(_h0_row, spec, T, h, probes, scale_count, seed)
+    for rows in _replicate_rows(row, report.n_levels, n_reps):
+        samples = np.array(rows)
         per_level.append([ks_statistic_2samp(samples[:, j], ref[:, j])
                           for j in range(probes.size)])
 
@@ -331,6 +407,19 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
                 trend_note="KS trend did not decrease across scales")
     report.metrics["max_ks"] = [float(np.max(row)) for row in per_level]
     return report
+
+
+def _alternative_row(observed, p1, probes, h, delta_t, seed, li, n, r) -> np.ndarray:
+    """The centered known-scaling statistic and, where s_hat > 0, the
+    estimated-scaling one minus the distorted systematic term (else nan)."""
+    p_n = p1.at_scale(n)
+    m_t, s_t, fin_t = (f(probes, p_n) for f in (m_function, s_function, shark_fin))
+    seq = simulate_compound(observed.with_scale(n), seed, stream=(li, r))
+    est = window_estimate_series(seq, probes, h, n)
+    gcen = np.full(probes.size, np.nan)
+    ok = est.s_hat > 0.0
+    gcen[ok] = est.count_diff[ok] / est.s_hat[ok] - delta_t[ok] * fin_t[ok]
+    return np.stack(((est.count_diff - m_t) / s_t, gcen))
 
 
 def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
@@ -359,20 +448,12 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     grid, ref_paths = simulate_L_paths(cfg, p1, seed, n_ref, stream=(91,))
     ref = ref_paths[:, np.searchsorted(grid, probes)]
     delta_t = distortion(probes, p1)
-    observed = _observed(model, probes, h)
+    row = partial(_alternative_row, _observed(model, probes, h), p1, probes, h,
+                  delta_t, seed)
 
     ks_gamma, ks_g = [], []
-    for li, n in enumerate(report.n_levels):
-        p_n = p1.at_scale(n)
-        m_t, s_t, fin_t = (f(probes, p_n) for f in (m_function, s_function, shark_fin))
-        gam = np.empty((n_reps, probes.size))
-        gcen = np.full((n_reps, probes.size), np.nan)
-        for r in range(n_reps):
-            seq = simulate_compound(observed.with_scale(n), seed, stream=(li, r))
-            est = window_estimate_series(seq, probes, h, n)
-            gam[r] = (est.count_diff - m_t) / s_t
-            ok = est.s_hat > 0.0
-            gcen[r, ok] = est.count_diff[ok] / est.s_hat[ok] - delta_t[ok] * fin_t[ok]
+    for rows in _replicate_rows(row, report.n_levels, n_reps):
+        gam, gcen = np.array(rows).transpose(1, 0, 2)
         ks_gamma.append([ks_statistic_2samp(gam[:, j], ref[:, j])
                          for j in range(probes.size)])
         ks_g.append([ks_statistic_2samp(gcen[~np.isnan(gcen[:, j]), j],
@@ -391,6 +472,11 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     return report
 
 
+def _rate_errors(h, rate_ri, rate_le, est, n) -> dict:
+    return {"sup_rate_error_right": np.max(np.abs(est.count_right / (n * h) - rate_ri)),
+            "sup_rate_error_left": np.max(np.abs(est.count_left / (n * h) - rate_le))}
+
+
 def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
                      n_reps: int = 3, final_tol: float = 0.05) -> LabReport:
     """Windowed counts over nh converge uniformly to the local rate limits.
@@ -400,18 +486,21 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
     """
     report, cfg, model, p1 = _setup("window_lln", seed, n_levels, h, model.T, model)
     grid = cfg.grid(h)
-    rate_ri = 1.0 / mu_ri_theory(grid, p1)
-    rate_le = 1.0 / mu_le_theory(grid, p1)
-
-    def errors(est, n):
-        return {"sup_rate_error_right": np.max(np.abs(est.count_right / (n * h) - rate_ri)),
-                "sup_rate_error_left": np.max(np.abs(est.count_left / (n * h) - rate_le))}
-
+    errors = partial(_rate_errors, h, 1.0 / mu_ri_theory(grid, p1),
+                     1.0 / mu_le_theory(grid, p1))
     trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, final_tol, errors)
     return _verdict(
         report, trend=(trend_ok, "sup-norm rate error did not decrease across scales"),
         final_level=(all(v[-1] < final_tol for v in report.metrics.values()),
                      f"final sup-norm rate error above {final_tol}"))
+
+
+def _estimator_errors(grid, p1, mu_ri, sig_ri, delta_t, est, n) -> dict:
+    s_n = s_function(grid, p1.at_scale(n))
+    ok = est.s_hat > 0.0
+    return {"sup_mu_right_error": np.max(np.abs(est.mean_right - mu_ri)),
+            "sup_sigma2_right_error": np.max(np.abs(est.var_right - sig_ri)),
+            "sup_scaling_ratio_error": np.max(np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok]))}
 
 
 def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
@@ -427,24 +516,20 @@ def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
     report, cfg, model, p1 = _setup("estimator_consistency", seed, n_levels, h,
                                     model.T, model)
     grid = cfg.grid(h)
-    mu_ri = mu_ri_theory(grid, p1)
-    sig_ri = sigma2_ri_theory(grid, p1)
-    delta_t = distortion(grid, p1)
-
-    def errors(est, n):
-        s_n = s_function(grid, p1.at_scale(n))
-        ok = est.s_hat > 0.0
-        return {"sup_mu_right_error": np.max(np.abs(est.mean_right - mu_ri)),
-                "sup_sigma2_right_error": np.max(np.abs(est.var_right - sig_ri)),
-                "sup_scaling_ratio_error":
-                    np.max(np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok]))}
-
+    errors = partial(_estimator_errors, grid, p1, mu_ri_theory(grid, p1),
+                     sigma2_ri_theory(grid, p1), distortion(grid, p1))
     trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, _RATIO_FINAL_TOL,
                                errors)
     return _verdict(
         report, trend=(trend_ok, "some sup-norm error did not decrease strictly"),
         final_level=(report.metrics["sup_scaling_ratio_error"][-1] < _RATIO_FINAL_TOL,
                      f"final scaling-ratio error above {_RATIO_FINAL_TOL}"))
+
+
+def _variance_row(observed, probes, h, seed, li, n, r) -> np.ndarray:
+    # one level at scale 1, whose replicates draw from substreams (r,)
+    seq = simulate_compound(observed.with_scale(n), seed, stream=(r,))
+    return window_estimate_series(seq, probes, h, n).var_right
 
 
 def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
@@ -469,11 +554,10 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     mix = sigma2_ri_theory(probes, p1)
     alt = sigma2_ri_theory(probes, p1, sum_cross_term=True)
 
-    observed = _observed(model, probes, h).with_scale(1)
+    row = partial(_variance_row, _observed(model, probes, h), probes, h, seed)
     acc = np.zeros(probes.size)
-    for r in range(n_reps):
-        seq = simulate_compound(observed, seed, stream=(r,))
-        acc += window_estimate_series(seq, probes, h, 1).var_right
+    for var_right in _replicate_rows(row, [1], n_reps)[0]:
+        acc += var_right
     emp = acc / n_reps
 
     dev_mix = np.abs(emp / mix - 1.0)
@@ -506,26 +590,29 @@ def run_verification_suite(seed: int = DEFAULT_SUITE_SEED,
 
     scale="full" uses replication levels sized so that every criterion
     is met with margin; "smoke" is a fast variant for CI-style runs.
+    The replicates run on one fork process pool with a worker per
+    available CPU (see `_suite_pool`); the reports are byte-identical to
+    those of the checks called directly, which run in-process.
     """
     if scale not in ("full", "smoke"):
         raise ValueError(f"scale must be 'full' or 'smoke', got {scale!r}")
     full = scale == "full"
     h = 150.0
-    reports = [
-        check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, n_levels=(1, 4, 16),
-                       n_reps=6000 if full else 600, seed=seed),
-        check_alternative_limit(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                n_reps=400 if full else 120, seed=seed),
-        check_window_lln(DISTORTION_B, h, n_levels=(16, 64, 256) if full
-                         else (4, 16, 64),
-                         seed=seed, final_tol=0.05 if full else 0.12),
-        replace(check_estimator_consistency(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                            seed=seed),
-                experiment="estimator_consistency_shape_change"),
-        replace(check_estimator_consistency(DISTORTION_B, h, n_levels=(1, 4, 16),
-                                            seed=seed),
-                experiment="estimator_consistency_rate_change"),
-        check_window_variance_forms(DISTORTION_A, h, seed=seed,
-                                    n_reps=1000 if full else 200),
-    ]
-    return reports
+    with _suite_pool():
+        return [
+            check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, n_levels=(1, 4, 16),
+                           n_reps=6000 if full else 600, seed=seed),
+            check_alternative_limit(DISTORTION_A, h, n_levels=(1, 4, 16),
+                                    n_reps=400 if full else 120, seed=seed),
+            check_window_lln(DISTORTION_B, h, n_levels=(16, 64, 256) if full
+                             else (4, 16, 64),
+                             seed=seed, final_tol=0.05 if full else 0.12),
+            replace(check_estimator_consistency(DISTORTION_A, h, n_levels=(1, 4, 16),
+                                                seed=seed),
+                    experiment="estimator_consistency_shape_change"),
+            replace(check_estimator_consistency(DISTORTION_B, h, n_levels=(1, 4, 16),
+                                                seed=seed),
+                    experiment="estimator_consistency_rate_change"),
+            check_window_variance_forms(DISTORTION_A, h, seed=seed,
+                                        n_reps=1000 if full else 200),
+        ]

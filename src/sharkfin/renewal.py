@@ -19,7 +19,6 @@ is independently reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -490,9 +489,11 @@ class WindowConfig:
 # event file I/O
 
 # Format: '#'-prefixed comment lines, a '# horizon=<value>' header, then one
-# ascending decimal event time per line.  Files are written and parsed in
-# blocks of _IO_BLOCK lines, which bounds the text held in memory at once.
+# ascending decimal event time per line.  Files are written in blocks of
+# _IO_BLOCK lines and read in blocks of whole lines of about _READ_CHARS
+# characters, which bounds the text held in memory at once.
 _IO_BLOCK = 1 << 16
+_READ_CHARS = 1 << 18
 
 
 def write_event_file(path, seq: EventSequence) -> None:
@@ -510,11 +511,25 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _parse_block(path, lines: list, first: int, prev: float):
-    """(horizon or None, times) of the raw lines numbered from `first`.
+def _header(path, line: str, number: int):
+    """The horizon of a '# horizon=' comment line; None for other comments."""
+    line = line.strip()
+    if not line[1:].strip().startswith("horizon="):
+        return None
+    try:
+        horizon = float(line.split("=", 1)[1])
+    except ValueError:
+        horizon = math.nan
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"{path}: line {number}: bad horizon header {line!r}")
+    return horizon
+
+
+def _parse_lines(path, lines: list, first: int, prev: float):
+    """(horizon or None, times) of the lines numbered from `first`, one by one.
 
     Times must be finite and increase, the first one past `prev`.  Of the
-    bad lines of a block, header or event, the first one is reported.
+    bad lines, header or event, the first one is reported.
     """
     rows = [i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")]
     data = [lines[i] for i in rows]
@@ -531,14 +546,8 @@ def _parse_block(path, lines: list, first: int, prev: float):
     other = np.ones(len(lines), dtype=bool)  # comment and blank lines
     other[rows] = False
     for i in np.flatnonzero(other[:rows[j] if j < len(rows) else len(lines)]):
-        line = lines[i].strip()
-        if line[1:].strip().startswith("horizon="):
-            try:
-                horizon = float(line.split("=", 1)[1])
-            except ValueError:
-                horizon = math.nan
-            if not (math.isfinite(horizon) and horizon >= 0):
-                raise ValueError(f"{path}: line {first + i}: bad horizon header {line!r}")
+        header = _header(path, lines[i], first + i)
+        horizon = horizon if header is None else header
     if j < len(rows):
         where = f"{path}: line {first + rows[j]}"
         text = data[j].strip()
@@ -551,18 +560,70 @@ def _parse_block(path, lines: list, first: int, prev: float):
     return horizon, times
 
 
+def _comment_spans(text: str) -> list:
+    """(start, end) of each line of text whose first non-blank character is '#'."""
+    spans = []
+    i = text.find("#")
+    while i >= 0:
+        start = text.rfind("\n", 0, i) + 1
+        end = text.find("\n", i) + 1 or len(text)
+        if not text[start:i].strip():
+            spans.append((start, end))
+        i = text.find("#", end)
+    return spans
+
+
+def _parse_block(path, text: str, first: int, prev: float):
+    """(horizon or None, times) of the whole lines in text, numbered from `first`.
+
+    The data lines, all but comment and blank ones, convert in one call.
+    A block with a bad line, header or event, goes to `_parse_lines`,
+    which names the first one.
+    """
+    spans = _comment_spans(text)
+    cuts = [0, *(i for span in spans for i in span), len(text)]
+    data = "".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
+    try:
+        times = np.array(list(filter(str.strip, data.split("\n"))), dtype=float)
+    except ValueError:  # a data line that is not a number
+        return _parse_lines(path, text.split("\n"), first, prev)
+    before = np.concatenate(([prev], times[:-1]))
+    if not np.all(np.isfinite(times) & (times > before)):
+        return _parse_lines(path, text.split("\n"), first, prev)
+    horizon, number, seen = None, first, 0
+    for start, end in spans:
+        number += text.count("\n", seen, start)
+        seen = start
+        header = _header(path, text[start:end], number)
+        horizon = horizon if header is None else header
+    return horizon, times
+
+
+def _line_blocks(fh):
+    """The text of fh in runs of whole lines of about _READ_CHARS characters."""
+    rest = ""
+    while chunk := fh.read(_READ_CHARS):
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
+
+
 def read_event_file(path) -> EventSequence:
     """Read an event file; format errors name the file and the line."""
     horizon = None
     parts = []
     first = 1
     with open(path) as fh:
-        while lines := list(itertools.islice(fh, _IO_BLOCK)):
-            header, times = _parse_block(path, lines, first, parts[-1][-1] if parts else 0.0)
+        for text in _line_blocks(fh):
+            header, times = _parse_block(path, text, first, parts[-1][-1] if parts else 0.0)
             horizon = horizon if header is None else header
             if times.size:
                 parts.append(times)
-            first += len(lines)
+            first += text.count("\n")
     if horizon is None:
         raise ValueError(f"{path}: missing '# horizon=' header")
     try:

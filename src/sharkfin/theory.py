@@ -9,9 +9,10 @@ For a change point at c where the life-time law switches from
   either side and linearly interpolated (in the variance) across the
   neighbourhood.
 
-Their ratio m/s is the systematic deviation of the statistic: hat shaped
-when only the rate changes, shaped like a shark's fin when the variance
-changes too, with its largest deviation always at c.
+Their ratio Lambda = m/s is the systematic deviation of the statistic
+with known scaling: hat shaped when only the rate changes, shaped like a
+shark's fin when the variance changes too, with its largest deviation
+always at c.
 
 When the scaling must be estimated from the data, the windowed mean and
 variance estimators are biased inside the h-neighbourhood.  Their limits
@@ -19,6 +20,10 @@ are the interpolations mu_ri/mu_le (harmonic in the expected counts) and
 sigma2_ri/sigma2_le (a two-population mixture variance), and the induced
 multiplicative error on the statistic is the distortion
 delta_t = s_t / s_tilde_t, identically 1 away from c and exactly 1 at c.
+The statistic with estimated scaling follows the distorted mean
+delta_t * Lambda_t, which need not peak at c: when the law turns from
+bursty to regular, the distortion can lift it above its value at c
+inside (c, c + h).
 
 The zero-mean, unit-variance Gaussian limit process of the statistic is
 built from increments of a single Brownian path over the two windows,

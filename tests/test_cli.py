@@ -374,8 +374,8 @@ def test_import_loads_no_scipy_and_no_process_pool():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, sharkfin; "
             "print(sorted(m for m in sys.modules if m == 'scipy' "
-            "or m.startswith('scipy.') or m in ('concurrent.futures.process', "
-            "'concurrent.futures.thread')))")
+            "or m.startswith('scipy.') or m in ('multiprocessing', "
+            "'concurrent.futures.process', 'concurrent.futures.thread')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

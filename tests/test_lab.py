@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import mpmath
@@ -311,3 +314,74 @@ def test_trend_criteria_require_three_levels():
     rep = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 16),
                          n_reps=200, seed=10)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the suite's process pool
+
+
+def direct_smoke_reports(seed):
+    """The smoke suite's checks called one by one, outside the suite."""
+    h = 150.0
+    return [
+        check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, (1, 4, 16), n_reps=600,
+                       seed=seed),
+        check_alternative_limit(DISTORTION_A, h, (1, 4, 16), n_reps=120, seed=seed),
+        check_window_lln(DISTORTION_B, h, (4, 16, 64), seed=seed, final_tol=0.12),
+        replace(check_estimator_consistency(DISTORTION_A, h, (1, 4, 16), seed=seed),
+                experiment="estimator_consistency_shape_change"),
+        replace(check_estimator_consistency(DISTORTION_B, h, (1, 4, 16), seed=seed),
+                experiment="estimator_consistency_rate_change"),
+        check_window_variance_forms(DISTORTION_A, h, seed=seed, n_reps=200),
+    ]
+
+
+@pytest.mark.parametrize("seed", [lab.DEFAULT_SUITE_SEED, 7])
+def test_suite_reports_independent_of_pool_size(monkeypatch, seed):
+    direct = [r.to_json() for r in direct_smoke_reports(seed)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+        suite = [r.to_json() for r in run_verification_suite(seed, scale="smoke")]
+        assert suite == direct, f"pool size {workers}"
+        assert multiprocessing.active_children() == []
+
+
+def test_replicate_rows_come_back_in_replicate_order(monkeypatch):
+    # uneven blocks: 7 replicates over 3 workers, and fewer replicates than workers
+    row = functools.partial(_tagged_row, 100)
+    expected = [[100 + 1000 * li + 10 * n + r for r in range(7)]
+                for li, n in enumerate((2, 5))]
+    assert lab._replicate_rows(row, (2, 5), 7) == expected
+    monkeypatch.setattr(lab, "_worker_count", lambda: 3)
+    with lab._suite_pool():
+        assert lab._SUITE_POOL.get()[1] == 3
+        assert lab._replicate_rows(row, (2, 5), 7) == expected
+        assert lab._replicate_rows(row, (2, 5), 2) == [e[:2] for e in expected]
+        assert lab._replicate_rows(row, (), 7) == []
+    assert multiprocessing.active_children() == []
+
+
+def _tagged_row(base, li, n, r):
+    return base + 1000 * li + 10 * n + r
+
+
+class RowFailure(Exception):
+    pass
+
+
+def _fail_in_worker(parent_pid, *args, **kwargs):
+    if os.getpid() != parent_pid:
+        raise RowFailure("raised in a worker")
+    return simulate_renewal(*args, **kwargs)
+
+
+def test_no_worker_outlives_the_suite(monkeypatch):
+    monkeypatch.setattr(lab, "_worker_count", lambda: 2)
+    run_verification_suite(scale="smoke")
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(lab, "simulate_renewal",
+                        functools.partial(_fail_in_worker, os.getpid()))
+    with pytest.raises(RowFailure, match="raised in a worker"):
+        run_verification_suite(scale="smoke")
+    assert multiprocessing.active_children() == []
+    assert lab._SUITE_POOL.get() == (None, 1)

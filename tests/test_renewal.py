@@ -341,6 +341,39 @@ def test_event_file_first_bad_line_wins(tmp_path, monkeypatch, text, message, bl
         read_event_file(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# horizon=10\n1.0\n\n# note\n2.0\nnan\n3.0\nzz\n", "line 6: .*finite"),
+    ("# horizon=10\n1.0\n  \n\t# note\n2.0\n1.5\n", "line 6: .*does not increase"),
+    ("# horizon=10\n1.0\n2.0\n2.0\n3.0\n", "line 4: .*does not increase"),
+    ("# horizon=10\n1.0\n2.0 # note\n3.0\n", "line 3: not a number"),
+    ("# horizon=10\n1.0\n2.0 3.0\n", "line 3: not a number"),
+    ("# run 3\n1.0\n0.5\n# horizon=x\n", "line 3: .*does not increase"),
+    ("# run 3\n1.0\n# horizon=x\n2.0\n", "line 3: bad horizon header"),
+    ("1.0\n2.0", "missing '# horizon=' header")],
+    ids=["non_finite", "decrease_after_blank", "repeat", "inline_comment", "two_numbers",
+         "decrease_before_bad_header", "bad_header", "no_header"])
+def test_event_file_errors_at_every_read_size(tmp_path, monkeypatch, text, message):
+    # every read size puts the block boundary at another character
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+        with pytest.raises(ValueError, match=message):
+            read_event_file(path)
+
+
+def test_event_file_reads_comments_and_blank_lines_at_every_read_size(
+        tmp_path, monkeypatch):
+    text = ("# run 3\n\n  # horizon=7\n0.5\n \t\n1.25 \n# horizon=9.5\n\n"
+            "  2.0\n# note\n9.5")
+    path = tmp_path / "events.txt"
+    path.write_text(text)
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+        seq = read_event_file(path)
+        assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+
+
 @pytest.mark.parametrize("header", ["ab", "nan", "inf", "-1.0"])
 def test_event_file_bad_horizon_names_its_line(tmp_path, header):
     path = tmp_path / "bad.txt"
