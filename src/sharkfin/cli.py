@@ -1,6 +1,8 @@
 """Command-line front end: simulate, threshold, detect, theory, verify.
 
-Every command is deterministic given its parameters and --seed.  Each
+Every command is deterministic given its parameters and --seed.
+`threshold`, `detect` and `verify` run their Monte Carlo blocks on one
+process per available CPU, with the same outputs at any count.  Each
 parameter and its default is declared once, as a flag of its command.  A
 JSON --config file maps flag names (with underscores) of that command to
 values that replace the defaults; each value is parsed as the text of its
@@ -62,9 +64,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="significance level (default %(default)s)")
         p.add_argument("--n-sims", type=int, default=10000,
                        help="null replicates (default %(default)s)")
-        p.add_argument("--workers", type=_positive(int), default=1,
-                       help="worker processes for the null threshold, each overlapping "
-                       "its draws with one helper thread (default %(default)s)")
 
     p = command("simulate", "simulate a renewal or change-point process")
     p.add_argument("--p1", type=float, help="gamma shape before the change")
@@ -100,9 +99,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=_positive(int), default=m.n, help="default %(default)s")
     p.add_argument("--delta", type=_positive(float), help="grid step (default h/50)")
 
-    p = command("verify", "run the Monte Carlo verification suite on one process per "
-                "available CPU; the reports are the same at any process count",
-                seed=DEFAULT_SUITE_SEED)
+    p = command("verify", "run the Monte Carlo verification suite", seed=DEFAULT_SUITE_SEED)
     p.add_argument("--scale", choices=["smoke", "full"], default="full",
                    help="suite size (default %(default)s)")
     return parser, commands
@@ -113,7 +110,10 @@ def _config_defaults(path, command) -> dict:
     its flag would be: key k is --k with dashes for underscores, a list
     value one word per item.  ValueError naming any key that is not a flag."""
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: not JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     flags = set(vars(command.parse_args([]))) - {"config"}
@@ -184,7 +184,7 @@ def _cached_threshold(args, out: Path, T, h_set) -> ThresholdTable:
                                      f"the key {key} in its name; delete it to rebuild")
         return table
     path.parent.mkdir(exist_ok=True)
-    table = simulate_threshold(*config, workers=args.workers)
+    table = simulate_threshold(*config)
     table.save(path)
     print(f"wrote threshold table to {path}")
     return table

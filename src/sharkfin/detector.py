@@ -5,7 +5,9 @@ absolute value of the estimated-scaling statistic over all grid times
 and all window sizes exceeds a threshold Q.  Q is the empirical upper
 quantile of that maximum under the null, obtained by simulating the
 Gaussian limit process: each replicate draws one Brownian path shared by
-every window size, as the multiple-filter construction requires.
+every window size, as the multiple-filter construction requires.  The
+replicates are drawn in blocks, each from its own substream, on one
+process per available CPU, so Q is the same at any worker count.
 
 After a rejection, change points are located per window size by
 successive argmax: take the largest remaining |G|, record its time,
@@ -26,7 +28,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .filtered import G_process
-from .renewal import ConfigurationError, EventSequence, WindowConfig, substream
+from .renewal import (ConfigurationError, EventSequence, WindowConfig, process_map,
+                      substream, worker_count)
 from .series import StatisticSeries
 from .theory import brownian_blocks
 
@@ -131,7 +134,10 @@ class ThresholdTable:
     def load(cls, path) -> "ThresholdTable":
         """Read a table written by `save`; ConfigurationError if it is unusable."""
         with open(path) as fh:
-            d = json.load(fh)
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise ConfigurationError(f"threshold table {path}: not JSON: {exc}") from None
 
         def field(name, convert):
             try:
@@ -169,16 +175,22 @@ class ThresholdTable:
         return table
 
 
-def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,
-                       n_sims: int, seed: int, workers: int = 1) -> ThresholdTable:
+def simulate_threshold(T: float, h_set, grid_step: float, alpha: float, n_sims: int,
+                       seed: int, workers: int | None = None) -> ThresholdTable:
     """Empirical (1-alpha)-quantile of max over (h, t) of |L| under the null.
 
+    The blocks of 1024 replicates run on a `process_map` of `workers`
+    forked processes, by default one per available CPU (`worker_count`),
+    never more than there are blocks; workers=1 runs them in-process.
     Deterministic given the seed, independent of the worker count.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     if n_sims < 100:
         raise ConfigurationError(f"need at least 100 simulations, got {n_sims}")
+    workers = worker_count() if workers is None else workers
+    if workers < 1:
+        raise ConfigurationError(f"need at least 1 worker, got {workers}")
     cfg = WindowConfig(T, h_set, grid_step)
 
     sizes = [_BLOCK] * (n_sims // _BLOCK)
@@ -186,14 +198,8 @@ def simulate_threshold(T: float, h_set, grid_step: float, alpha: float,
         sizes.append(n_sims % _BLOCK)
     jobs = [(T, cfg.h_set, grid_step, seed, b, size) for b, size in enumerate(sizes)]
     # the pool starts all its processes at once, so it gets no more than blocks
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        # imported here: the process pool module costs every import of the package
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_h0_block, *zip(*jobs)))
-    else:
-        parts = list(map(_h0_block, *zip(*jobs)))
+    with process_map(min(workers, len(jobs))) as pmap:
+        parts = list(pmap(_h0_block, *zip(*jobs)))
     per_h = np.vstack(parts)
 
     maxima = per_h.max(axis=1)

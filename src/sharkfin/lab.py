@@ -34,18 +34,17 @@ those of the full-horizon run, bit for bit (see `_observed`).
 
 Replicate r of level li draws from its own substream (li, r), so the
 replicates run in any order and in any process.  `run_verification_suite`
-runs contiguous replicate blocks of every level on one fork process pool
-sized to the available CPUs and reduces the rows in replicate order, so
-its reports are byte-identical at every pool size.  A check called
-directly runs its replicates in-process.
+runs contiguous replicate blocks of every level on one `process_map`
+(the package's process pool, with one worker per available CPU, as for
+the null threshold) and reduces the rows in replicate order, so its
+reports are byte-identical at every pool size.  A check called directly
+runs its replicates in-process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -54,8 +53,8 @@ import numpy as np
 
 from .filtered import window_estimate_series
 from .presets import DISTORTION_A, DISTORTION_B
-from .renewal import (ChangePointModel, RenewalSpec, WindowConfig,
-                      simulate_compound, simulate_renewal, substream)
+from .renewal import (ChangePointModel, RenewalSpec, WindowConfig, process_map,
+                      simulate_compound, simulate_renewal, substream, worker_count)
 from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
                      mu_le_theory, mu_ri_theory, normal_cdf, s_function,
                      shark_fin, sigma2_ri_theory, simulate_L_paths)
@@ -225,13 +224,9 @@ def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
 # ---------------------------------------------------------------------------
 # replicate rows
 
-# (pool, workers) of the running suite; checks called directly see the
+# (map, workers) of the running suite; checks called directly see the
 # default and run their replicates in-process.
-_SUITE_POOL: ContextVar = ContextVar("sharkfin_lab_pool", default=(None, 1))
-
-
-def _worker_count() -> int:
-    return len(os.sched_getaffinity(0))
+_SUITE_MAP: ContextVar = ContextVar("sharkfin_lab_map", default=(map, 1))
 
 
 def _block_rows(task) -> list:
@@ -243,42 +238,16 @@ def _replicate_rows(row, n_levels, n_reps: int) -> list:
     """For each level li at scale n, the rows row(li, n, r), r < n_reps.
 
     row is a module-level function, or a partial of one, so that the
-    suite's pool can pickle it.  There each level is split into
-    min(workers, n_reps) contiguous replicate blocks, which come back in
-    order; elsewhere the rows are computed in-process.
+    suite's pool can pickle it.  Each level is split into
+    min(workers, n_reps) contiguous replicate blocks, which the suite's
+    map returns in order; checks called directly map them in-process.
     """
-    pool, workers = _SUITE_POOL.get()
+    pmap, workers = _SUITE_MAP.get()
     k = max(1, min(workers, n_reps))
     tasks = [(row, li, n, n_reps * b // k, n_reps * (b + 1) // k)
              for li, n in enumerate(n_levels) for b in range(k)]
-    blocks = iter((pool.map if pool else map)(_block_rows, tasks))
+    blocks = iter(pmap(_block_rows, tasks))
     return [[x for _ in range(k) for x in next(blocks)] for _ in n_levels]
-
-
-@contextmanager
-def _suite_pool():
-    """Route `_replicate_rows` through a fork process pool with one worker
-    per available CPU, and shut the pool down on leaving, on error too.
-
-    With one CPU, or where fork is missing, the replicates stay in-process.
-    """
-    pool, workers = None, _worker_count()
-    if workers > 1:
-        # imported here: the process pool modules cost every import of the package
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # fork, not spawn: a spawned worker imports numpy again (50-220 ms a
-        # pool on 2 cores, against 15-25 ms to fork).  The workers fork at
-        # the suite's first map, when no Brownian helper thread is running.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-    token = _SUITE_POOL.set((pool, workers) if pool else (None, 1))
-    try:
-        yield
-    finally:
-        _SUITE_POOL.reset(token)
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -590,29 +559,34 @@ def run_verification_suite(seed: int = DEFAULT_SUITE_SEED,
 
     scale="full" uses replication levels sized so that every criterion
     is met with margin; "smoke" is a fast variant for CI-style runs.
-    The replicates run on one fork process pool with a worker per
-    available CPU (see `_suite_pool`); the reports are byte-identical to
-    those of the checks called directly, which run in-process.
+    The replicates run on one `process_map` with a worker per available
+    CPU (`worker_count`); the reports are byte-identical to those of the
+    checks called directly, which run in-process.
     """
     if scale not in ("full", "smoke"):
         raise ValueError(f"scale must be 'full' or 'smoke', got {scale!r}")
     full = scale == "full"
     h = 150.0
-    with _suite_pool():
-        return [
-            check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, n_levels=(1, 4, 16),
-                           n_reps=6000 if full else 600, seed=seed),
-            check_alternative_limit(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                    n_reps=400 if full else 120, seed=seed),
-            check_window_lln(DISTORTION_B, h, n_levels=(16, 64, 256) if full
-                             else (4, 16, 64),
-                             seed=seed, final_tol=0.05 if full else 0.12),
-            replace(check_estimator_consistency(DISTORTION_A, h, n_levels=(1, 4, 16),
-                                                seed=seed),
-                    experiment="estimator_consistency_shape_change"),
-            replace(check_estimator_consistency(DISTORTION_B, h, n_levels=(1, 4, 16),
-                                                seed=seed),
-                    experiment="estimator_consistency_rate_change"),
-            check_window_variance_forms(DISTORTION_A, h, seed=seed,
-                                        n_reps=1000 if full else 200),
-        ]
+    workers = worker_count()
+    with process_map(workers) as pmap:
+        token = _SUITE_MAP.set((pmap, workers))
+        try:
+            return [
+                check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, h, n_levels=(1, 4, 16),
+                               n_reps=6000 if full else 600, seed=seed),
+                check_alternative_limit(DISTORTION_A, h, n_levels=(1, 4, 16),
+                                        n_reps=400 if full else 120, seed=seed),
+                check_window_lln(DISTORTION_B, h, n_levels=(16, 64, 256) if full
+                                 else (4, 16, 64),
+                                 seed=seed, final_tol=0.05 if full else 0.12),
+                replace(check_estimator_consistency(DISTORTION_A, h, n_levels=(1, 4, 16),
+                                                    seed=seed),
+                        experiment="estimator_consistency_shape_change"),
+                replace(check_estimator_consistency(DISTORTION_B, h, n_levels=(1, 4, 16),
+                                                    seed=seed),
+                        experiment="estimator_consistency_rate_change"),
+                check_window_variance_forms(DISTORTION_A, h, seed=seed,
+                                            n_reps=1000 if full else 200),
+            ]
+        finally:
+            _SUITE_MAP.reset(token)

@@ -64,22 +64,21 @@ def read_series_csv(path) -> StatisticSeries:
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split(","):
-                    if "=" in part:
-                        k, v = part.split("=", 1)
-                        meta[k.strip()] = float(v)
-                continue
-            if line.startswith("t,"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected t,value,valid")
-            grid.append(float(fields[0]))
-            values.append(float(fields[1]))
-            valid.append(bool(int(fields[2])))
+            try:
+                if line.startswith("#"):
+                    for part in line[1:].split(","):
+                        if "=" in part:
+                            k, v = part.split("=", 1)
+                            meta[k.strip()] = float(v)
+                elif line and not line.startswith("t,"):
+                    fields = line.split(",")
+                    if len(fields) != 3:
+                        raise ValueError("expected t,value,valid")
+                    grid.append(float(fields[0]))
+                    values.append(float(fields[1]))
+                    valid.append(bool(int(fields[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     for key in ("h", "n", "delta"):
         if key not in meta:
             raise ValueError(f"{path}: missing {key!r} in metadata line")

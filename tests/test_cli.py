@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from sharkfin.cli import main
+from sharkfin.detector import simulate_threshold
 from sharkfin.lab import DEFAULT_SUITE_SEED
 
 
@@ -258,8 +260,11 @@ def test_theory_distortion_band(tmp_path):
 # verify and config handling
 
 
-def test_verify_smoke(tmp_path):
+def test_verify_smoke(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; one process per CPU then
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert run("verify", "--scale", "smoke", "--out-dir", tmp_path) == 0
+    assert multiprocessing.active_children() == []
     reports = json.loads((tmp_path / "lab_reports.json").read_text())
     assert len(reports) == 6
     assert all(r["passed"] for r in reports)
@@ -330,11 +335,9 @@ def test_config_values_are_refused_where_their_flag_text_is(tmp_path, capsys,
     ("theory", "--delta", "nan"),
     ("detect", "--input", "events.txt", "--n", 0),
     ("simulate", "--p1", 1, "--l1", 1, "--T", 10, "--n", 0),
-    ("threshold", "--T", 1000, "--h", 150, "--workers", 0),
-    ("detect", "--input", "events.txt", "--workers", -1),
     ("theory", "--config", {"n": -2}),
 ], ids=["theory_delta_0", "theory_delta_negative", "theory_delta_nan", "detect_n_0",
-        "simulate_n_0", "threshold_workers_0", "detect_workers_negative", "config_n"])
+        "simulate_n_0", "config_n"])
 def test_non_positive_n_delta_workers_refused_when_parsing(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
         path = tmp_path / "cfg.json"
@@ -345,7 +348,8 @@ def test_non_positive_n_delta_workers_refused_when_parsing(tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "theory", "verify"])
+@pytest.mark.parametrize("command", ["simulate", "threshold", "detect", "theory",
+                                     "verify"])
 def test_workers_refused_by_commands_that_do_not_read_it(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run(command, "--workers", 2)
@@ -353,14 +357,39 @@ def test_workers_refused_by_commands_that_do_not_read_it(command, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_workers_accepted_by_threshold_and_detect(tmp_path, capsys):
-    table = ("--T", 1000, "--h", 150, "--delta", 5, "--n-sims", 2000,
-             "--workers", 2, "--out-dir", tmp_path)
+def test_threshold_and_detect_pool_the_table_of_the_in_process_build(tmp_path, capsys,
+                                                                     monkeypatch):
+    # three blocks, so a pool wherever there is more than one CPU; without
+    # os.sched_getaffinity (macOS, Windows) the count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    table = ("--T", 1000, "--h", 150, "--delta", 5, "--n-sims", 2100,
+             "--out-dir", tmp_path)
     assert run("threshold", *table) == 0
+    assert multiprocessing.active_children() == []
     assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 6,
                "--out-dir", tmp_path) == 0
     assert run("detect", "--input", tmp_path / "events.txt", *table) == 0
     assert "cache hit" in capsys.readouterr().out
+    [path] = (tmp_path / "thresholds").iterdir()
+    in_process = simulate_threshold(1000.0, [150.0], 5.0, 0.05, 2100, 0, workers=1)
+    assert path.read_text() == in_process.to_json() + "\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("detect", "--h", 150, "--table"), "table.json"),
+    (("theory", "--config"), "cfg.json"),
+], ids=["detect_table", "theory_config"])
+def test_unparsable_json_file_is_named(tmp_path, capsys, argv, name):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--seed", 4,
+               "--out-dir", tmp_path) == 0
+    (tmp_path / name).write_text("not json\n")
+    if argv[0] == "detect":
+        argv = (*argv[:1], "--input", tmp_path / "events.txt", *argv[1:])
+    assert run(*argv, tmp_path / name, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert name in err and "not JSON" in err
+    assert not any((tmp_path / "out").glob("*"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -66,10 +67,12 @@ def test_threshold_reproducible_and_bracketed():
     ([50.0, 100.0, 150.0], 1.0),
 ], ids=["single_window", "multi_window_fine"])
 def test_threshold_workers_do_not_change_result(h_set, step):
-    a = simulate_threshold(1000.0, h_set, step, 0.05, 1500, seed=11, workers=1)
-    b = simulate_threshold(1000.0, h_set, step, 0.05, 1500, seed=11, workers=3)
-    assert a.Q == b.Q
-    assert a.per_h_max_quantiles == b.per_h_max_quantiles
+    # three blocks, so three workers each get one; None is one per CPU
+    a = simulate_threshold(1000.0, h_set, step, 0.05, 2100, seed=11, workers=1)
+    for workers in (2, 3, None):
+        b = simulate_threshold(1000.0, h_set, step, 0.05, 2100, seed=11, workers=workers)
+        assert a == b, f"workers={workers}"
+        assert multiprocessing.active_children() == []
 
 
 def test_threshold_golden_values():
@@ -162,34 +165,30 @@ def test_brownian_kernel_stops_its_helper_thread_on_early_exit():
     assert threading.active_count() == baseline
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.mark.parametrize("workers, n_sims, pools", [
-    (8, 1000, []), (8, 2100, [3]), (2, 5000, [2]), (1, 5000, [])])
+    (8, 1000, [1]), (8, 2100, [3]), (2, 5000, [2]), (1, 5000, [1])])
 def test_threshold_pool_gets_no_more_workers_than_blocks(workers, n_sims, pools,
                                                           monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    # the sizes asked of the shared pool; process_map(1) opens none
+    sizes = []
+
+    @contextlib.contextmanager
+    def recording_map(size):
+        sizes.append(size)
+        yield map
+
+    monkeypatch.setattr(detector, "process_map", recording_map)
     table = simulate_threshold(1000.0, [150.0], 5.0, 0.05, n_sims, seed=3,
                                workers=workers)
-    assert RecordingPool.sizes == pools
-    assert table == simulate_threshold(1000.0, [150.0], 5.0, 0.05, n_sims, seed=3)
+    assert sizes == pools
+    assert table == simulate_threshold(1000.0, [150.0], 5.0, 0.05, n_sims, seed=3,
+                                       workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_threshold_refuses_non_positive_workers(workers):
+    with pytest.raises(ConfigurationError, match="worker"):
+        simulate_threshold(1000.0, [150.0], 5.0, 0.05, 1000, seed=3, workers=workers)
 
 
 def test_threshold_block_memory_is_bounded():

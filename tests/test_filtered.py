@@ -367,6 +367,18 @@ def test_series_csv_roundtrip(tmp_path):
     assert (back.h, back.n, back.grid_step) == (g.h, g.n, g.grid_step)
 
 
+@pytest.mark.parametrize("lines, lineno", [
+    (["# h=x,n=1,delta=5.0", "t,value,valid", "150.0,0.5,1"], 1),
+    (["# h=150.0,n=1,delta=5.0", "t,value,valid", "150.0,0.5,1", "155.0,y,1"], 4),
+    (["# h=150.0,n=1,delta=5.0", "t,value,valid", "150.0,0.5"], 3),
+], ids=["metadata_value", "data_value", "field_count"])
+def test_series_csv_errors_name_the_file_and_line(tmp_path, lines, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv: line {lineno}: "):
+        read_series_csv(path)
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         StatisticSeries(grid=np.array([1.0, 2.0]), values=np.array([np.nan, 0.0]),

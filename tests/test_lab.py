@@ -19,7 +19,8 @@ from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           ks_statistic_normal, run_verification_suite)
 from sharkfin.presets import DISTORTION_A, DISTORTION_B, SHARK_WEST
 from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
-                              simulate_compound, simulate_renewal)
+                              process_map, simulate_compound, simulate_renewal,
+                              worker_count)
 from sharkfin.theory import (TheoryParams, distortion, shark_fin,
                              simulate_L_paths)
 
@@ -336,11 +337,18 @@ def direct_smoke_reports(seed):
     ]
 
 
+def use_cpus(monkeypatch, count):
+    """Make the shared worker count read `count` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    assert worker_count() == count
+
+
 @pytest.mark.parametrize("seed", [lab.DEFAULT_SUITE_SEED, 7])
 def test_suite_reports_independent_of_pool_size(monkeypatch, seed):
     direct = [r.to_json() for r in direct_smoke_reports(seed)]
     for workers in (1, 2, 3):
-        monkeypatch.setattr(lab, "_worker_count", lambda: workers)
+        use_cpus(monkeypatch, workers)
         suite = [r.to_json() for r in run_verification_suite(seed, scale="smoke")]
         assert suite == direct, f"pool size {workers}"
         assert multiprocessing.active_children() == []
@@ -352,12 +360,15 @@ def test_replicate_rows_come_back_in_replicate_order(monkeypatch):
     expected = [[100 + 1000 * li + 10 * n + r for r in range(7)]
                 for li, n in enumerate((2, 5))]
     assert lab._replicate_rows(row, (2, 5), 7) == expected
-    monkeypatch.setattr(lab, "_worker_count", lambda: 3)
-    with lab._suite_pool():
-        assert lab._SUITE_POOL.get()[1] == 3
-        assert lab._replicate_rows(row, (2, 5), 7) == expected
-        assert lab._replicate_rows(row, (2, 5), 2) == [e[:2] for e in expected]
-        assert lab._replicate_rows(row, (), 7) == []
+    use_cpus(monkeypatch, 3)
+    with process_map(worker_count()) as pmap:
+        token = lab._SUITE_MAP.set((pmap, 3))
+        try:
+            assert lab._replicate_rows(row, (2, 5), 7) == expected
+            assert lab._replicate_rows(row, (2, 5), 2) == [e[:2] for e in expected]
+            assert lab._replicate_rows(row, (), 7) == []
+        finally:
+            lab._SUITE_MAP.reset(token)
     assert multiprocessing.active_children() == []
 
 
@@ -376,7 +387,7 @@ def _fail_in_worker(parent_pid, *args, **kwargs):
 
 
 def test_no_worker_outlives_the_suite(monkeypatch):
-    monkeypatch.setattr(lab, "_worker_count", lambda: 2)
+    use_cpus(monkeypatch, 2)
     run_verification_suite(scale="smoke")
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(lab, "simulate_renewal",
@@ -384,4 +395,4 @@ def test_no_worker_outlives_the_suite(monkeypatch):
     with pytest.raises(RowFailure, match="raised in a worker"):
         run_verification_suite(scale="smoke")
     assert multiprocessing.active_children() == []
-    assert lab._SUITE_POOL.get() == (None, 1)
+    assert lab._SUITE_MAP.get() == (map, 1)

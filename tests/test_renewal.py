@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sharkfin import renewal
 from sharkfin.renewal import (_ALIGN_RTOL, ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
-                              read_event_file, register_sampler,
+                              process_map, read_event_file, register_sampler,
                               simulate_compound, simulate_renewal, substream,
                               write_event_file)
 
@@ -180,6 +181,18 @@ def test_substream_independence_and_reproducibility():
     b = substream(9, 2).standard_normal(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, substream(9, 1).standard_normal(4))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_process_map_keeps_input_order_and_leaves_no_worker(workers):
+    with process_map(workers) as pmap:
+        assert (pmap is map) == (workers == 1)
+        assert list(pmap(pow, range(7), [2] * 7)) == [r * r for r in range(7)]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ZeroDivisionError):
+        with process_map(workers) as pmap:
+            list(pmap(divmod, [1, 2, 3], [1, 0, 1]))
+    assert multiprocessing.active_children() == []
 
 
 def test_tiny_life_times_never_produce_duplicates():

@@ -5,13 +5,15 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geometry import check_fin_geometry
 from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B,
                               ORIENTATION_MODELS, SHARK_EAST,
                               SHARK_EAST_INVERTED, SHARK_WEST,
                               SHARK_WEST_INVERTED)
-from sharkfin.renewal import (ConfigurationError, WindowConfig,
+from sharkfin.renewal import (ConfigurationError, RenewalSpec, WindowConfig,
                               simulate_compound)
 from sharkfin.filtered import window_estimate_series
 from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
@@ -85,6 +87,41 @@ def test_fin_argmax_at_change_point():
     assert grid[np.argmax(np.abs(shark_fin(grid, p_lo)))] == 150.0
     p_hi = TheoryParams(1.0, 0.05, 1.0, 1 / 400, c=900.0, T=1000.0, h=150.0)
     assert grid[np.argmax(np.abs(shark_fin(grid, p_hi)))] == 850.0
+
+
+def gamma_params(shape1, rate1, shape2, rate2):
+    phi1, phi2 = RenewalSpec.gamma(shape1, rate1), RenewalSpec.gamma(shape2, rate2)
+    return TheoryParams(phi1.mu, phi2.mu, phi1.sigma2, phi2.sigma2,
+                        c=500.0, T=1000.0, h=150.0)
+
+
+CV = st.floats(0.2, 5.0)  # coefficient of variation 1/sqrt(shape)
+MEAN = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cv1=CV, mean1=MEAN, cv2=CV, mean2=MEAN)
+def test_fin_peaks_at_the_change_point_for_every_gamma_pair(cv1, mean1, cv2, mean2):
+    # the hat m falls off linearly faster than s can shrink on either side
+    assume(abs(math.log(mean1 / mean2)) > 1e-3)
+    shape1, shape2 = cv1 ** -2, cv2 ** -2
+    p = gamma_params(shape1, shape1 / mean1, shape2, shape2 / mean2)
+    grid = np.arange(150.0, 850.0 + 0.5, 1.0)
+    assert grid[np.argmax(np.abs(shark_fin(grid, p)))] == 500.0
+
+
+def test_distorted_fin_can_peak_off_the_change_point():
+    # bursty rate 4 to regular rate 1/4: |distortion * fin| peaks at
+    # t = 595.73, about 0.64 h after c, while the fin itself peaks at c
+    p = gamma_params(1 / 25, 0.16, 25, 6.25)
+    step = 0.25
+    grid = np.arange(150.0, 850.0 + step / 2, step)
+    distorted = np.abs(distortion(grid, p) * shark_fin(grid, p))
+    peak = np.argmax(distorted)
+    assert grid[peak] == pytest.approx(595.73, abs=step)
+    at_c = abs(distortion(500.0, p) * shark_fin(500.0, p))
+    assert distorted[peak] / at_c == pytest.approx(1.075, abs=1e-3)
+    assert grid[np.argmax(np.abs(shark_fin(grid, p)))] == 500.0
 
 
 def test_fin_continuity_refines_with_grid():
