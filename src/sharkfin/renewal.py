@@ -182,6 +182,9 @@ class RenewalSpec:
 # event sequences
 
 
+_STRICT_BLOCK = 1 << 16
+
+
 def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     """Bump float-rounding ties up by one ulp so times strictly increase.
 
@@ -194,13 +197,21 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     returns it.  Such doubles are ordered like their int64 bit patterns,
     and nextafter(x, inf) is the pattern plus one, so the fixed point
     t'[i] = max(t[i], nextafter(t'[i-1], inf)) is a running maximum of
-    bits[i] - i, shifted back by i.
+    bits[i] - i, shifted back by i.  It runs in blocks of _STRICT_BLOCK
+    times, each block's first element raised to the running maximum of
+    the blocks before, so the only temporary is one block of indices.
     """
     bits = times.view(np.int64)
-    i = np.arange(bits.size, dtype=np.int64)
-    bits -= i
-    np.maximum.accumulate(bits, out=bits)
-    bits += i
+    step = np.arange(min(_STRICT_BLOCK, bits.size), dtype=np.int64)
+    top = -1 << 63  # running maximum of bits[i] - i so far, from the int64 minimum
+    for start in range(0, bits.size, _STRICT_BLOCK):
+        block = bits[start:start + _STRICT_BLOCK]
+        i = step[:block.size]
+        block -= i
+        block[0] = max(int(block[0]), top + start)
+        np.maximum.accumulate(block, out=block)
+        top = int(block[-1]) - start
+        block += i
     return times
 
 
@@ -224,9 +235,10 @@ class EventSequence:
                 raise ValueError(f"event times must be positive, got {ev[0]}")
             if ev[-1] > self.horizon:
                 raise ValueError(f"event time {ev[-1]} exceeds horizon {self.horizon}")
-            steps = np.diff(ev)
-            if np.any(steps <= 0.0):
-                i = int(np.flatnonzero(steps <= 0.0)[0]) + 1
+            # one byte per event: a float np.diff would cost eight
+            bad = ev[1:] <= ev[:-1]
+            if bad.any():
+                i = int(bad.argmax()) + 1
                 raise ValueError(
                     f"event times must strictly increase; duplicate or decreasing "
                     f"time {ev[i]} at index {i}")
@@ -525,10 +537,15 @@ class WindowConfig:
 # event file I/O
 
 # Format: '#'-prefixed comment lines, a '# horizon=<value>' header, then one
-# ascending decimal event time per line.  Files are written in blocks of
-# _IO_BLOCK lines and read in blocks of whole lines of about _READ_CHARS
-# characters, which bounds the text held in memory at once.
-_IO_BLOCK = 1 << 16
+# ascending decimal event time per line.  The event times are the only
+# buffer that grows with the file.  Files are written in blocks of _IO_BLOCK
+# lines, so the text and the Python floats of one block (under 0.5 MiB) are
+# all the writer holds.  The reader counts the line ends first, in binary
+# chunks of _READ_CHARS bytes, and sizes one float array by that count; it
+# then converts blocks of whole lines of about _READ_CHARS characters
+# straight into slices of that array.  The order check of EventSequence
+# takes one byte per event and no float temporaries.
+_IO_BLOCK = 1 << 12
 _READ_CHARS = 1 << 18
 
 
@@ -648,21 +665,33 @@ def _line_blocks(fh):
         yield rest
 
 
+def _line_ends(path) -> int:
+    """An upper bound on the line ends text mode reads from path: every
+    '\n' and '\r', less each '\r\n' within one binary chunk."""
+    ends = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_CHARS):
+            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    return ends
+
+
 def read_event_file(path) -> EventSequence:
     """Read an event file; format errors name the file and the line."""
     horizon = None
-    parts = []
+    events = np.empty(_line_ends(path) + 1)  # the last line may have no end
+    filled = 0
     first = 1
     with open(path) as fh:
         for text in _line_blocks(fh):
-            header, times = _parse_block(path, text, first, parts[-1][-1] if parts else 0.0)
+            header, times = _parse_block(path, text, first,
+                                         events[filled - 1] if filled else 0.0)
             horizon = horizon if header is None else header
-            if times.size:
-                parts.append(times)
+            events[filled:filled + times.size] = times
+            filled += times.size
             first += text.count("\n")
     if horizon is None:
         raise ValueError(f"{path}: missing '# horizon=' header")
     try:
-        return EventSequence(np.concatenate(parts) if parts else np.empty(0), horizon)
+        return EventSequence(events[:filled], horizon)
     except ValueError as exc:  # an event beyond the horizon
         raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,9 @@
+import io
 import math
 import multiprocessing
 import re
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -307,16 +310,25 @@ def test_event_file_errors_name_the_line(tmp_path):
         read_event_file(path)
 
 
-@pytest.mark.parametrize("block", [None, 2, 3])
+def read_blocks(text):
+    """The blocks of whole lines that the reader parses one at a time."""
+    return list(renewal._line_blocks(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("size", [None, 2, 3])
 @pytest.mark.parametrize("bad,message", [("nan", "finite"), ("inf", "finite"),
                                          ("-inf", "finite"), ("1.5", "increase"),
                                          ("2.0", "increase"), ("x1", "not a number")])
-def test_event_file_bad_time_names_its_line(tmp_path, monkeypatch, bad, message, block):
-    # small blocks put the bad line, and the time it must exceed, in later blocks
-    if block:
-        monkeypatch.setattr(renewal, "_IO_BLOCK", block)
+def test_event_file_bad_time_names_its_line(tmp_path, monkeypatch, bad, message, size):
+    # small read sizes put the bad line and the time it must exceed in
+    # different blocks
+    head = "# horizon=10\n1.0\n\n# note\n2.0\n"
+    text = f"{head}{bad}\n3.0\nzz\n"
+    if size:
+        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+        assert head in accumulate(read_blocks(text))
     path = tmp_path / "bad.txt"
-    path.write_text(f"# horizon=10\n1.0\n\n# note\n2.0\n{bad}\n3.0\nzz\n")
+    path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.txt: line 6: .*{message}"):
         read_event_file(path)
 
@@ -338,16 +350,18 @@ def test_event_file_write_format_and_roundtrip(tmp_path, monkeypatch, block):
     assert len(read_event_file(path)) == 0
 
 
-@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("size", [None, 3])
 @pytest.mark.parametrize("text,message", [
     ("# horizon=10\n1.0\nx1\n2.0\n# horizon=nan\n", "line 3: not a number"),
     ("# horizon=10\n1.0\n0.5\n# horizon=nan\n", "line 3: .*does not increase"),
     ("# horizon=10\n1.0\n# horizon=nan\nx1\n", "line 3: bad horizon header")],
     ids=["non_number_first", "decrease_first", "header_first"])
-def test_event_file_first_bad_line_wins(tmp_path, monkeypatch, text, message, block):
-    # a bad header and a bad event line in one block: the earlier line is named
-    if block:
-        monkeypatch.setattr(renewal, "_IO_BLOCK", block)
+def test_event_file_first_bad_line_wins(tmp_path, monkeypatch, text, message, size):
+    # a bad header and a bad event line, in one block at the default read
+    # size and in different blocks at 3: the earlier line is named
+    if size:
+        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+        assert "# horizon=10\n1.0\n" in accumulate(read_blocks(text))
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.txt: {message}"):
@@ -396,3 +410,53 @@ def test_event_file_bad_horizon_names_its_line(tmp_path, header):
     path.write_text("# horizon=2.0\n1.0\n3.0\n")
     with pytest.raises(ValueError, match="bad.txt: .*exceeds horizon"):
         read_event_file(path)
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final_end", "no_final_end"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_event_file_reads_every_line_end(tmp_path, monkeypatch, end, final):
+    # the line count that sizes the event array must bound every line end
+    # text mode reads, also a CRLF split between two binary chunks
+    lines = ["# run 3", "# horizon=9.5", "0.5", "", "1.25", "# note", "2.0", "9.5"]
+    data = (end.join(lines) + (end if final else "")).encode()
+    path = tmp_path / "events.txt"
+    path.write_bytes(data)
+    for size in range(1, len(data) + 2):
+        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+        seq = read_event_file(path)
+        assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced while fn runs)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_event_file_holds_one_event_buffer(tmp_path, n):
+    # the writer's buffers are one block whatever n is; the reader's one
+    # array of events plus block buffers
+    events = np.cumsum(substream(n, 31).exponential(1.0, n))
+    seq = EventSequence(events, float(events[-1]) + 1.0)
+    path = tmp_path / "events.txt"
+    _, peak = traced_peak(write_event_file, path, seq)
+    assert peak <= 2**20
+    back, peak = traced_peak(read_event_file, path)
+    assert peak <= events.nbytes + 4 * 2**20
+    assert back.horizon == seq.horizon and np.array_equal(back.events, events)
+
+
+def test_event_order_check_allocates_a_byte_per_event():
+    events = np.cumsum(substream(0, 31).exponential(1.0, 10**6))
+    _, peak = traced_peak(EventSequence, events, float(events[-1]))
+    assert peak <= 0.25 * events.nbytes
+    tied = events.copy()
+    tied[500_000] = tied[499_999]
+    with pytest.raises(ValueError, match=re.escape(
+            f"duplicate or decreasing time {tied[500_000]} at index 500000")):
+        EventSequence(tied, float(tied[-1]))
