@@ -19,6 +19,7 @@ is independently reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from contextlib import contextmanager
@@ -182,9 +183,6 @@ class RenewalSpec:
 # event sequences
 
 
-_STRICT_BLOCK = 1 << 16
-
-
 def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     """Bump float-rounding ties up by one ulp so times strictly increase.
 
@@ -197,21 +195,13 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     returns it.  Such doubles are ordered like their int64 bit patterns,
     and nextafter(x, inf) is the pattern plus one, so the fixed point
     t'[i] = max(t[i], nextafter(t'[i-1], inf)) is a running maximum of
-    bits[i] - i, shifted back by i.  It runs in blocks of _STRICT_BLOCK
-    times, each block's first element raised to the running maximum of
-    the blocks before, so the only temporary is one block of indices.
+    bits[i] - i, shifted back by i.
     """
     bits = times.view(np.int64)
-    step = np.arange(min(_STRICT_BLOCK, bits.size), dtype=np.int64)
-    top = -1 << 63  # running maximum of bits[i] - i so far, from the int64 minimum
-    for start in range(0, bits.size, _STRICT_BLOCK):
-        block = bits[start:start + _STRICT_BLOCK]
-        i = step[:block.size]
-        block -= i
-        block[0] = max(int(block[0]), top + start)
-        np.maximum.accumulate(block, out=block)
-        top = int(block[-1]) - start
-        block += i
+    i = np.arange(bits.size, dtype=np.int64)
+    bits -= i
+    np.maximum.accumulate(bits, out=bits)
+    bits += i
     return times
 
 
@@ -542,8 +532,8 @@ class WindowConfig:
 # lines, so the text and the Python floats of one block (under 0.5 MiB) are
 # all the writer holds.  The reader counts the line ends first, in binary
 # chunks of _READ_CHARS bytes, and sizes one float array by that count; it
-# then converts blocks of whole lines of about _READ_CHARS characters
-# straight into slices of that array.  The order check of EventSequence
+# then rewinds the file and converts blocks of whole lines of about
+# _READ_CHARS characters straight into slices of that array.  The order check of EventSequence
 # takes one byte per event and no float temporaries.
 _IO_BLOCK = 1 << 12
 _READ_CHARS = 1 << 18
@@ -665,27 +655,34 @@ def _line_blocks(fh):
         yield rest
 
 
-def _line_ends(path) -> int:
-    """An upper bound on the line ends text mode reads from path: every
-    '\n' and '\r', less each '\r\n' within one binary chunk."""
+def _line_ends(fh) -> int:
+    """An upper bound on the line ends text mode reads from the binary file
+    fh, which it rewinds: every '\n' and '\r', less each '\r\n' within
+    one chunk."""
     ends = 0
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_READ_CHARS):
-            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    while chunk := fh.read(_READ_CHARS):
+        ends += chunk.count(b"\n")
+        if b"\r" in chunk:  # a fast scan; counting '\r\n' is the slow part
+            ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+    fh.seek(0)
     return ends
 
 
 def read_event_file(path) -> EventSequence:
     """Read an event file; format errors name the file and the line."""
     horizon = None
-    events = np.empty(_line_ends(path) + 1)  # the last line may have no end
     filled = 0
     first = 1
-    with open(path) as fh:
-        for text in _line_blocks(fh):
+    with open(path, "rb") as raw:
+        if not raw.seekable():  # the line count needs a second pass
+            raise ValueError(f"{path}: cannot read events from a pipe; save them to a file")
+        events = np.empty(_line_ends(raw) + 1)  # the last line may have no end
+        for text in _line_blocks(io.TextIOWrapper(raw)):
             header, times = _parse_block(path, text, first,
                                          events[filled - 1] if filled else 0.0)
             horizon = horizon if header is None else header
+            if filled + times.size > events.size:
+                raise ValueError(f"{path}: the file grew while it was read")
             events[filled:filled + times.size] = times
             filled += times.size
             first += text.count("\n")

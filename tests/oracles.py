@@ -1,10 +1,8 @@
-"""Reference implementations that the tests compare the package with.
+"""Definition-level oracles of the window estimators.
 
-The window-estimator oracles follow the definitions in `sharkfin.filtered`
-one window at a time, with plain Python loops and sums, and share no code
-with the prefix-sum arithmetic of `window_estimate_series` that the tests
-compare them with.  `strict_increase_formula` is the one-pass form of the
-blockwise strictness pass in `sharkfin.renewal`.
+They follow the definitions in `sharkfin.filtered` one window at a time,
+with plain Python loops and sums, and share no code with the prefix-sum
+arithmetic of `window_estimate_series` that the tests compare them with.
 """
 
 import math
@@ -43,14 +41,3 @@ def brute_s_hat(events, t, h, n=1):
     right = brute_window_stats(events, n * t, n * (t + h))
     left = brute_window_stats(events, n * (t - h), n * t)
     return math.sqrt((term(right) + term(left)) * n * h)
-
-
-def strict_increase_formula(times):
-    """Ties bumped by one ulp, in place, as one running maximum over the
-    whole array: bits[i] - i, accumulated, shifted back by i."""
-    bits = times.view(np.int64)
-    i = np.arange(bits.size, dtype=np.int64)
-    bits -= i
-    np.maximum.accumulate(bits, out=bits)
-    bits += i
-    return times

@@ -1,7 +1,9 @@
 import io
 import math
 import multiprocessing
+import os
 import re
+import threading
 import tracemalloc
 from itertools import accumulate
 
@@ -437,18 +439,60 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [10**5, 10**6])
-def test_event_file_holds_one_event_buffer(tmp_path, n):
-    # the writer's buffers are one block whatever n is; the reader's one
-    # array of events plus block buffers
+def exponential_sequence(n):
     events = np.cumsum(substream(n, 31).exponential(1.0, n))
-    seq = EventSequence(events, float(events[-1]) + 1.0)
-    path = tmp_path / "events.txt"
-    _, peak = traced_peak(write_event_file, path, seq)
+    return EventSequence(events, float(events[-1]) + 1.0)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_event_file_write_holds_one_block(tmp_path, n):
+    # the same bound at two sizes: the writer's buffers do not grow with n
+    _, peak = traced_peak(write_event_file, tmp_path / "events.txt", exponential_sequence(n))
     assert peak <= 2**20
+
+
+def test_event_file_read_holds_one_event_buffer(tmp_path):
+    # one array of events plus about 2.3 MiB of block buffers; per-block
+    # parts and their concatenation would hold the events twice
+    seq = exponential_sequence(3 * 10**5)
+    path = tmp_path / "events.txt"
+    write_event_file(path, seq)
     back, peak = traced_peak(read_event_file, path)
-    assert peak <= events.nbytes + 4 * 2**20
-    assert back.horizon == seq.horizon and np.array_equal(back.events, events)
+    assert peak <= seq.events.nbytes + 3 * 2**20
+    assert back.horizon == seq.horizon and np.array_equal(back.events, seq.events)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_file_from_a_pipe_is_refused_by_name(tmp_path):
+    # the line count takes a first pass, which a pipe cannot rewind
+    path = tmp_path / "events.fifo"
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "w") as fh:
+                fh.write("# horizon=2\n1.0\n")
+        except BrokenPipeError:  # the reader closed first
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with pytest.raises(ValueError, match="events.fifo: cannot read events from a pipe"):
+            read_event_file(path)
+    finally:
+        writer.join()
+
+
+def test_event_file_that_grows_while_read_is_named(tmp_path, monkeypatch):
+    # more lines than the first pass counted: an error naming the file,
+    # not a failed array assignment
+    path = tmp_path / "events.txt"
+    path.write_text("# horizon=9\n1.0\n2.0\n3.0\n")
+    real = renewal._line_ends
+    monkeypatch.setattr(renewal, "_line_ends", lambda fh: real(fh) - 3)
+    with pytest.raises(ValueError, match="events.txt: the file grew while it was read"):
+        read_event_file(path)
 
 
 def test_event_order_check_allocates_a_byte_per_event():

@@ -8,7 +8,6 @@ and is compared with the full path by two-sample KS tests.
 """
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import strict_increase_formula
 from sharkfin import renewal
 from sharkfin.lab import ks_critical_2samp, ks_statistic_2samp
 from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B, SHARK_EAST,
@@ -95,28 +93,6 @@ def test_strict_increase_tie_run_cascades_past_next_value():
     assert same_bits(renewal._enforce_strict_increase(times.copy()), expected)
     for short in (np.empty(0), np.array([3.0])):
         assert same_bits(renewal._enforce_strict_increase(short.copy()), short)
-
-
-@pytest.mark.parametrize("block", [1, 7, 1 << 16])
-def test_blockwise_strict_increase_matches_one_pass_formula(monkeypatch, block):
-    monkeypatch.setattr(renewal, "_STRICT_BLOCK", block)
-    for size in sorted({0, 1, 2, block, 2 * block + 1, 3 * block + 5, 1001}):
-        times = np.cumsum(substream(size, 98).gamma(1 / 20, 20.0, size))
-        expected = strict_increase_formula(times.copy())
-        if size > 100:
-            assert np.count_nonzero(np.diff(times) <= 0) > 10
-        assert same_bits(renewal._enforce_strict_increase(times.copy()), expected)
-
-
-def test_strict_increase_needs_no_event_sized_temporary():
-    times = np.cumsum(substream(0, 98).gamma(1 / 20, 20.0, 10**6))
-    tracemalloc.start()
-    try:
-        renewal._enforce_strict_increase(times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * times.nbytes
 
 
 def spy_strictness_pass(monkeypatch):
