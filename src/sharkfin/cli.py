@@ -8,6 +8,10 @@ JSON --config file maps flag names (with underscores) of that command to
 values that replace the defaults; each value is parsed as the text of its
 flag would be, and explicit flags override file values.
 Outputs land in --out-dir as plain text, CSV and JSON files.
+
+The parser needs only `presets` and `renewal`; each command imports the
+other modules it runs when it runs: `simulate`, `theory` and `--help` load
+no `detector`, `filtered`, `series` or `lab`, and only `verify` loads `lab`.
 """
 
 from __future__ import annotations
@@ -20,14 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import ThresholdTable, detect, simulate_threshold, threshold_cache_key
-from .filtered import write_series_csv
-from .lab import DEFAULT_SUITE_SEED, run_verification_suite
-from .presets import DEFAULT_H, SHARK_WEST
+from .presets import DEFAULT_H, DEFAULT_SUITE_SEED, SHARK_WEST
 from .renewal import (ChangePointModel, ConfigurationError, RenewalSpec,
                       read_event_file, simulate_compound, simulate_renewal,
                       write_event_file)
-from .theory import (TheoryParams, distortion, m_function, s_function, shark_fin)
 
 
 def _positive(kind):
@@ -170,8 +170,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _cached_threshold(args, out: Path, T, h_set) -> ThresholdTable:
-    """The null threshold table of args' threshold flags, built once per key."""
+def _cached_threshold(args, out: Path, T, h_set):
+    """The null ThresholdTable of args' threshold flags, built once per key."""
+    from .detector import ThresholdTable, simulate_threshold, threshold_cache_key
     delta = min(h_set) / 50 if args.delta is None else args.delta
     config = (T, h_set, delta, args.alpha, args.n_sims, args.seed)
     key = threshold_cache_key(*config)
@@ -197,6 +198,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .detector import ThresholdTable, detect
+    from .series import write_series_csv
     seq = read_event_file(_require(args, "input"))
     n, h_set = args.n, args.h
     T = seq.horizon / n if args.T is None else args.T
@@ -221,6 +224,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    from .theory import TheoryParams, distortion, m_function, s_function, shark_fin
     phi1 = RenewalSpec.gamma(float(args.p1), float(args.l1))
     phi2 = RenewalSpec.gamma(float(args.p2), float(args.l2))
     p = TheoryParams(phi1.mu, phi2.mu, phi1.sigma2, phi2.sigma2,
@@ -250,6 +254,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lab import run_verification_suite
     out = _out_dir(args)
     reports = run_verification_suite(seed=args.seed, scale=args.scale)
     _write_json(out / "lab_reports.json", [r.to_json_dict() for r in reports])

@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .filtered import window_estimate_series
-from .presets import DISTORTION_A, DISTORTION_B
+from .presets import DEFAULT_SUITE_SEED, DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig, process_map,
                       simulate_compound, simulate_renewal, substream, worker_count)
 from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
@@ -84,8 +84,6 @@ _H0_ALPHA = 0.05
 _ALTERNATIVE_ALPHA = 0.01
 _VARIANCE_REL_TOL = 0.02
 _RATIO_FINAL_TOL = 0.05
-
-DEFAULT_SUITE_SEED = 20260811
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reference change-point models used by tests, the lab and CLI defaults.
+"""Reference change-point models and defaults of the lab and the CLI.
 
 All live on T = 1000 with the change at c = 500 and scale n = 1, and are
 meant to be analysed with window size h = 150.  The four orientation
@@ -13,6 +13,7 @@ from .renewal import ChangePointModel, RenewalSpec
 
 __all__ = [
     "DEFAULT_H",
+    "DEFAULT_SUITE_SEED",
     "SHARK_WEST",
     "SHARK_EAST",
     "SHARK_WEST_INVERTED",
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_H = 150.0
+DEFAULT_SUITE_SEED = 20260811  # of the verification suite
 
 # rate 1 -> 20 with count-variance rate sigma2/mu^3 rising 1 -> 20
 SHARK_WEST = ChangePointModel(

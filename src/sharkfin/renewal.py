@@ -207,7 +207,8 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EventSequence:
-    """Strictly increasing event times on (0, horizon]."""
+    """Strictly increasing event times on (0, horizon]; a read-only float
+    array is shared, any other input copied, so no caller's array is frozen."""
 
     events: np.ndarray
     horizon: float
@@ -232,7 +233,9 @@ class EventSequence:
                 raise ValueError(
                     f"event times must strictly increase; duplicate or decreasing "
                     f"time {ev[i]} at index {i}")
-        ev.flags.writeable = False
+        if ev.flags.writeable:  # a copy: the caller's array stays theirs
+            ev = ev.copy()
+            ev.flags.writeable = False
         object.__setattr__(self, "events", ev)
 
     def __len__(self) -> int:
@@ -688,6 +691,7 @@ def read_event_file(path) -> EventSequence:
             first += text.count("\n")
     if horizon is None:
         raise ValueError(f"{path}: missing '# horizon=' header")
+    events.flags.writeable = False  # so the sequence shares this one buffer
     try:
         return EventSequence(events[:filled], horizon)
     except ValueError as exc:  # an event beyond the horizon

@@ -16,7 +16,9 @@ class StatisticSeries:
 
     Invalid nodes carry value 0.0 and mark grid times where the statistic
     is undefined (an empty estimation window); values are finite wherever
-    valid.  Instances are immutable and safe to share across threads.
+    valid.  Instances are immutable and safe to share across threads: a
+    read-only input array is shared and a writable one copied, so the
+    caller's arrays are never frozen nor aliased.
     """
 
     grid: np.ndarray
@@ -35,7 +37,9 @@ class StatisticSeries:
         if not np.all(np.isfinite(values[valid])):
             raise ValueError("statistic values must be finite wherever valid")
         for arr, name in ((grid, "grid"), (values, "values"), (valid, "valid")):
-            arr.flags.writeable = False
+            if arr.flags.writeable:  # a copy: the caller's array stays theirs
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:

@@ -396,15 +396,45 @@ def test_unparsable_json_file_is_named(tmp_path, capsys, argv, name):
 # cold start
 
 
-def test_import_loads_no_scipy_and_no_process_pool():
-    # every CLI command pays the package import; it must stay numpy-only
+def loaded_modules(code):
+    """Names in sys.modules when a fresh child that runs code exits."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, sharkfin; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' "
-            "or m.startswith('scipy.') or m in ('multiprocessing', "
-            "'concurrent.futures.process', 'concurrent.futures.thread')))")
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print(*sorted(sys.modules)))\n" + code)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(out.splitlines()[-1].split())
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # `import sharkfin` loads no module, numpy included: a name loads its
+    # module on first use
+    loaded = loaded_modules("import sharkfin")
+    assert sorted(m for m in loaded if m.split(".")[0] in ("sharkfin", "numpy", "scipy")
+                  or m in ("multiprocessing", "concurrent.futures.process",
+                           "concurrent.futures.thread")) == ["sharkfin"]
+
+
+# what each command runs beyond the parser's presets and renewal
+ANALYSIS = {"sharkfin.detector", "sharkfin.filtered", "sharkfin.series", "sharkfin.lab"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--help"], ANALYSIS),
+    (["simulate", "--p1", 1, "--l1", 1, "--T", 100], ANALYSIS),
+    (["theory"], ANALYSIS),
+    (["threshold", "--T", 1000, "--h", 150, "--n-sims", 100], {"sharkfin.lab"}),
+    (["detect", "--input", "{out}/events.txt", "--h", 150, "--n-sims", 100],
+     {"sharkfin.lab"}),
+], ids=["help", "simulate", "theory", "threshold", "detect"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, absent):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, "--out-dir", tmp_path) == 0
+    argv = [str(a).format(out=tmp_path) for a in argv]
+    if argv != ["--help"]:
+        argv += ["--out-dir", str(tmp_path)]
+    loaded = loaded_modules(f"import runpy\nsys.argv = {['sharkfin', *argv]!r}\n"
+                            "runpy.run_module('sharkfin.cli', run_name='__main__')")
+    assert {"sharkfin.presets", "sharkfin.renewal"} <= loaded
+    assert loaded & absent == set()

@@ -387,3 +387,16 @@ def test_series_validation():
     s = StatisticSeries(grid=np.array([1.0]), values=np.array([0.0]),
                         valid=np.array([False]), h=1.0, n=1, grid_step=1.0)
     assert s.max_abs() == 0.0
+
+
+def test_series_copies_writable_arrays_and_shares_read_only_ones():
+    grid, values, valid = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([True, True])
+    s = StatisticSeries(grid=grid, values=values, valid=valid, h=1.0, n=1, grid_step=1.0)
+    for mine, held in ((grid, s.grid), (values, s.values), (valid, s.valid)):
+        assert mine.flags.writeable and held is not mine and not held.flags.writeable
+    grid[0], values[0], valid[0] = 9.0, 9.0, False
+    assert s.grid.tolist() == [1.0, 2.0] and s.values.tolist() == [0.5, -1.0]
+    assert s.valid.tolist() == [True, True]
+    again = StatisticSeries(grid=s.grid, values=s.values, valid=s.valid, h=1.0, n=1,
+                            grid_step=1.0)
+    assert again.grid is s.grid and again.values is s.values and again.valid is s.valid

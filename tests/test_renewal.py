@@ -80,6 +80,16 @@ def test_event_sequence_validation():
         EventSequence(np.array([1.0, 5.0]), 2.0)        # beyond horizon
 
 
+def test_event_sequence_copies_a_writable_array_and_shares_a_read_only_one():
+    a = np.array([1.0, 2.0, 3.0])
+    seq = EventSequence(a, 5.0)
+    assert a.flags.writeable and seq.events is not a
+    assert not seq.events.flags.writeable
+    a[0] = 0.5
+    assert seq.events.tolist() == [1.0, 2.0, 3.0]
+    assert EventSequence(seq.events, 5.0).events is seq.events
+
+
 def test_count_in_hand_cases():
     empty = EventSequence(np.empty(0), 10.0)
     assert empty.count_in(0, 10) == 0
@@ -497,6 +507,7 @@ def test_event_file_that_grows_while_read_is_named(tmp_path, monkeypatch):
 
 def test_event_order_check_allocates_a_byte_per_event():
     events = np.cumsum(substream(0, 31).exponential(1.0, 10**6))
+    events.flags.writeable = False  # shared, as read_event_file's buffer is, not copied
     _, peak = traced_peak(EventSequence, events, float(events[-1]))
     assert peak <= 0.25 * events.nbytes
     tied = events.copy()
