@@ -285,7 +285,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, ConfigurationError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

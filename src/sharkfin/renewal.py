@@ -19,9 +19,9 @@ is independently reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -529,17 +529,15 @@ class WindowConfig:
 # ---------------------------------------------------------------------------
 # event file I/O
 
-# Format: '#'-prefixed comment lines, a '# horizon=<value>' header, then one
-# ascending decimal event time per line.  The event times are the only
-# buffer that grows with the file.  Files are written in blocks of _IO_BLOCK
-# lines, so the text and the Python floats of one block (under 0.5 MiB) are
-# all the writer holds.  The reader counts the line ends first, in binary
-# chunks of _READ_CHARS bytes, and sizes one float array by that count; it
-# then rewinds the file and converts blocks of whole lines of about
-# _READ_CHARS characters straight into slices of that array.  The order check of EventSequence
-# takes one byte per event and no float temporaries.
+# Format: a '# horizon=<value>' header, then one ascending decimal event
+# time per line.  '#' starts a comment anywhere and blank lines are skipped;
+# before the header only comment and blank lines may stand, after it a
+# '# horizon=' line is one more comment.  The writer holds one block of
+# _IO_BLOCK lines (under 0.5 MiB).  The reader converts the times with one
+# np.loadtxt call, so the event array is the only buffer that grows with the
+# file, and reads the file a second time, line by line, only to name the line
+# of an error.
 _IO_BLOCK = 1 << 12
-_READ_CHARS = 1 << 18
 
 
 def write_event_file(path, seq: EventSequence) -> None:
@@ -549,150 +547,57 @@ def write_event_file(path, seq: EventSequence) -> None:
             fh.write("\n".join(map(repr, seq.events[i:i + _IO_BLOCK].tolist())) + "\n")
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _horizon(path, fh) -> float:
+    """The value of the '# horizon=' header, the lines of fh read up to it."""
+    for number, line in enumerate(fh, 1):
+        text = line.strip()
+        if text[:1] != "#":
+            if text:
+                raise ValueError(f"{path}: line {number}: missing '# horizon=' header "
+                                 f"before {text!r}")
+        elif text[1:].lstrip().startswith("horizon="):
+            try:
+                horizon = float(text.split("=", 1)[1])
+            except ValueError:
+                horizon = math.nan
+            if not (math.isfinite(horizon) and horizon >= 0):
+                raise ValueError(f"{path}: line {number}: bad horizon header {text!r}")
+            return horizon
+    raise ValueError(f"{path}: missing '# horizon=' header")
 
 
-def _header(path, line: str, number: int):
-    """The horizon of a '# horizon=' comment line; None for other comments."""
-    line = line.strip()
-    if not line[1:].strip().startswith("horizon="):
-        return None
-    try:
-        horizon = float(line.split("=", 1)[1])
-    except ValueError:
-        horizon = math.nan
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"{path}: line {number}: bad horizon header {line!r}")
-    return horizon
-
-
-def _parse_lines(path, lines: list, first: int, prev: float):
-    """(horizon or None, times) of the lines numbered from `first`, one by one.
-
-    Times must be finite and increase, the first one past `prev`.  Of the
-    bad lines, header or event, the first one is reported.
-    """
-    rows = [i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")]
-    data = [lines[i] for i in rows]
-    try:
-        times = np.array(data, dtype=float)
-    except ValueError:
-        # parse up to the first non-number: errors on earlier lines come first
-        times = np.array(data[:next(j for j, text in enumerate(data)
-                                    if not _is_number(text))], dtype=float)
-    before = np.concatenate(([prev], times[:-1]))
-    bad = np.flatnonzero(~np.isfinite(times) | (times <= before))
-    j = int(bad[0]) if bad.size else times.size  # first bad event row, if any
-    horizon = None
-    other = np.ones(len(lines), dtype=bool)  # comment and blank lines
-    other[rows] = False
-    for i in np.flatnonzero(other[:rows[j] if j < len(rows) else len(lines)]):
-        header = _header(path, lines[i], first + i)
-        horizon = horizon if header is None else header
-    if j < len(rows):
-        where = f"{path}: line {first + rows[j]}"
-        text = data[j].strip()
-        if j == times.size:
-            raise ValueError(f"{where}: not a number: {text!r}")
-        if not math.isfinite(times[j]):
+def _name_bad_line(path, fh) -> None:
+    """Raise an error naming the first bad event line of fh, if it has one."""
+    prev = 0.0
+    for number, line in enumerate(fh, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        where = f"{path}: line {number}"
+        try:
+            time = float(text)
+        except ValueError:
+            raise ValueError(f"{where}: not a number: {text!r}") from None
+        if not math.isfinite(time):
             raise ValueError(f"{where}: event time must be finite, got {text!r}")
-        raise ValueError(
-            f"{where}: event time {float(times[j])} does not increase past {float(before[j])}")
-    return horizon, times
-
-
-def _comment_spans(text: str) -> list:
-    """(start, end) of each line of text whose first non-blank character is '#'."""
-    spans = []
-    i = text.find("#")
-    while i >= 0:
-        start = text.rfind("\n", 0, i) + 1
-        end = text.find("\n", i) + 1 or len(text)
-        if not text[start:i].strip():
-            spans.append((start, end))
-        i = text.find("#", end)
-    return spans
-
-
-def _parse_block(path, text: str, first: int, prev: float):
-    """(horizon or None, times) of the whole lines in text, numbered from `first`.
-
-    The data lines, all but comment and blank ones, convert in one call.
-    A block with a bad line, header or event, goes to `_parse_lines`,
-    which names the first one.
-    """
-    spans = _comment_spans(text)
-    cuts = [0, *(i for span in spans for i in span), len(text)]
-    data = "".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
-    try:
-        times = np.array(list(filter(str.strip, data.split("\n"))), dtype=float)
-    except ValueError:  # a data line that is not a number
-        return _parse_lines(path, text.split("\n"), first, prev)
-    before = np.concatenate(([prev], times[:-1]))
-    if not np.all(np.isfinite(times) & (times > before)):
-        return _parse_lines(path, text.split("\n"), first, prev)
-    horizon, number, seen = None, first, 0
-    for start, end in spans:
-        number += text.count("\n", seen, start)
-        seen = start
-        header = _header(path, text[start:end], number)
-        horizon = horizon if header is None else header
-    return horizon, times
-
-
-def _line_blocks(fh):
-    """The text of fh in runs of whole lines of about _READ_CHARS characters."""
-    rest = ""
-    while chunk := fh.read(_READ_CHARS):
-        text = rest + chunk
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield text[:cut]
-        rest = text[cut:]
-    if rest:
-        yield rest
-
-
-def _line_ends(fh) -> int:
-    """An upper bound on the line ends text mode reads from the binary file
-    fh, which it rewinds: every '\n' and '\r', less each '\r\n' within
-    one chunk."""
-    ends = 0
-    while chunk := fh.read(_READ_CHARS):
-        ends += chunk.count(b"\n")
-        if b"\r" in chunk:  # a fast scan; counting '\r\n' is the slow part
-            ends += chunk.count(b"\r") - chunk.count(b"\r\n")
-    fh.seek(0)
-    return ends
+        if time <= prev:
+            raise ValueError(f"{where}: event time {time} does not increase past {prev}")
+        prev = time
 
 
 def read_event_file(path) -> EventSequence:
-    """Read an event file; format errors name the file and the line."""
-    horizon = None
-    filled = 0
-    first = 1
-    with open(path, "rb") as raw:
-        if not raw.seekable():  # the line count needs a second pass
-            raise ValueError(f"{path}: cannot read events from a pipe; save them to a file")
-        events = np.empty(_line_ends(raw) + 1)  # the last line may have no end
-        for text in _line_blocks(io.TextIOWrapper(raw)):
-            header, times = _parse_block(path, text, first,
-                                         events[filled - 1] if filled else 0.0)
-            horizon = horizon if header is None else header
-            if filled + times.size > events.size:
-                raise ValueError(f"{path}: the file grew while it was read")
-            events[filled:filled + times.size] = times
-            filled += times.size
-            first += text.count("\n")
-    if horizon is None:
-        raise ValueError(f"{path}: missing '# horizon=' header")
-    events.flags.writeable = False  # so the sequence shares this one buffer
-    try:
-        return EventSequence(events[:filled], horizon)
-    except ValueError as exc:  # an event beyond the horizon
-        raise ValueError(f"{path}: {exc}") from None
+    """Read an event file; errors name the file and, if it can be read again,
+    the line."""
+    with open(path) as fh:
+        horizon = _horizon(path, fh)
+        try:
+            with warnings.catch_warnings():  # a header-only file holds no events
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                events = np.loadtxt(fh, comments="#", ndmin=1)
+            events.flags.writeable = False  # so the sequence shares this one buffer
+            return EventSequence(events, horizon)
+        except ValueError as exc:
+            if fh.seekable():
+                fh.seek(0)
+                _name_bad_line(path, fh)
+            raise ValueError(f"{path}: {exc}") from None

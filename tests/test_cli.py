@@ -30,6 +30,13 @@ def read_csv(path, skip=2):
     return np.loadtxt(path, delimiter=",", skiprows=skip)
 
 
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -129,6 +136,22 @@ def test_detect_malformed_events(tmp_path, table_file, capsys):
     assert run("detect", "--input", bad, "--table", table_file,
                "--h", 150, "--out-dir", tmp_path) != 0
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_detect_reads_events_piped_to_stdin(tmp_path, table_file):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--p2", 1, "--l2", 20,
+               "--c", 500, "--T", 1000, "--seed", 9, "--out-dir", tmp_path) == 0
+    args = ("--table", table_file, "--h", 150, "--out-dir", tmp_path)
+    assert run("detect", "--input", tmp_path / "events.txt", *args) == 0
+    from_file = (tmp_path / "detection.json").read_bytes()
+    (tmp_path / "detection.json").unlink()
+    child = subprocess.run(
+        [sys.executable, "-m", "sharkfin.cli", "detect", "--input", "/dev/stdin",
+         *map(str, args)], input=(tmp_path / "events.txt").read_bytes(),
+        env=child_env(), capture_output=True)
+    assert child.returncode == 0, child.stderr.decode()
+    assert (tmp_path / "detection.json").read_bytes() == from_file
 
 
 def test_detect_rejects_nan_threshold_table(tmp_path, table_file, capsys):
@@ -398,12 +421,9 @@ def test_unparsable_json_file_is_named(tmp_path, capsys, argv, name):
 
 def loaded_modules(code):
     """Names in sys.modules when a fresh child that runs code exits."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import atexit, sys\n"
             "atexit.register(lambda: print(*sorted(sys.modules)))\n" + code)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                          capture_output=True, text=True).stdout
     return set(out.splitlines()[-1].split())
 

@@ -1,11 +1,10 @@
-import io
 import math
 import multiprocessing
 import os
 import re
 import threading
 import tracemalloc
-from itertools import accumulate
+import warnings
 
 import numpy as np
 import pytest
@@ -322,29 +321,6 @@ def test_event_file_errors_name_the_line(tmp_path):
         read_event_file(path)
 
 
-def read_blocks(text):
-    """The blocks of whole lines that the reader parses one at a time."""
-    return list(renewal._line_blocks(io.StringIO(text)))
-
-
-@pytest.mark.parametrize("size", [None, 2, 3])
-@pytest.mark.parametrize("bad,message", [("nan", "finite"), ("inf", "finite"),
-                                         ("-inf", "finite"), ("1.5", "increase"),
-                                         ("2.0", "increase"), ("x1", "not a number")])
-def test_event_file_bad_time_names_its_line(tmp_path, monkeypatch, bad, message, size):
-    # small read sizes put the bad line and the time it must exceed in
-    # different blocks
-    head = "# horizon=10\n1.0\n\n# note\n2.0\n"
-    text = f"{head}{bad}\n3.0\nzz\n"
-    if size:
-        monkeypatch.setattr(renewal, "_READ_CHARS", size)
-        assert head in accumulate(read_blocks(text))
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"bad.txt: line 6: .*{message}"):
-        read_event_file(path)
-
-
 @pytest.mark.parametrize("block", [None, 7])
 def test_event_file_write_format_and_roundtrip(tmp_path, monkeypatch, block):
     if block:
@@ -362,55 +338,69 @@ def test_event_file_write_format_and_roundtrip(tmp_path, monkeypatch, block):
     assert len(read_event_file(path)) == 0
 
 
-@pytest.mark.parametrize("size", [None, 3])
+# a bad sixth line between good ones
+LINE_6 = "# horizon=10\n1.0\n\n# note\n2.0\n{}\n3.0\nzz\n".format
+
+
 @pytest.mark.parametrize("text,message", [
+    (LINE_6("nan"), "line 6: event time must be finite, got 'nan'"),
+    (LINE_6("inf"), "line 6: event time must be finite"),
+    (LINE_6("-inf"), "line 6: event time must be finite"),
+    (LINE_6("1.5"), "line 6: event time 1.5 does not increase past 2.0"),
+    (LINE_6("2.0"), "line 6: event time 2.0 does not increase past 2.0"),
+    (LINE_6("x1"), "line 6: not a number: 'x1'"),
+    ("# horizon=10\n1.0\n  \n\t# note\n2.0\n1.5\n", "line 6: .*does not increase"),
+    ("# horizon=10\n1.0\n2.0\n2.0\n3.0\n", "line 4: .*does not increase past 2.0"),
+    ("# horizon=10\n-1.0\n", "line 2: .*does not increase past 0.0"),
+    ("# horizon=10\n1.0\n2.0 3.0\n", "line 3: not a number"),
+    ("# horizon=10\n1 2\n3 4\n", "line 2: not a number"),
     ("# horizon=10\n1.0\nx1\n2.0\n# horizon=nan\n", "line 3: not a number"),
     ("# horizon=10\n1.0\n0.5\n# horizon=nan\n", "line 3: .*does not increase"),
-    ("# horizon=10\n1.0\n# horizon=nan\nx1\n", "line 3: bad horizon header")],
-    ids=["non_number_first", "decrease_first", "header_first"])
-def test_event_file_first_bad_line_wins(tmp_path, monkeypatch, text, message, size):
-    # a bad header and a bad event line, in one block at the default read
-    # size and in different blocks at 3: the earlier line is named
-    if size:
-        monkeypatch.setattr(renewal, "_READ_CHARS", size)
-        assert "# horizon=10\n1.0\n" in accumulate(read_blocks(text))
+    ("# horizon=10\n1.0\n# horizon=nan\nx1\n", "line 4: not a number"),
+    ("# run 3\n1.0\n0.5\n# horizon=x\n", "line 2: missing '# horizon=' header"),
+    ("# run 3\n1.0\n# horizon=x\n2.0\n", "line 2: missing '# horizon=' header"),
+    ("1.0\n2.0", "line 1: missing '# horizon=' header"),
+    ("# run 3\n\n", "missing '# horizon=' header")],
+    ids=["nan", "inf", "-inf", "decrease", "equal", "non_number", "decrease_after_blank",
+         "repeat", "negative", "two_numbers", "two_columns", "non_number_first",
+         "decrease_first", "header_first", "decrease_before_bad_header", "bad_header",
+         "no_header", "comments_only"])
+def test_event_file_errors_name_their_line(tmp_path, text, message):
+    # the first bad line is named; after the header a '# horizon=' line is a
+    # comment, however it reads
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.txt: {message}"):
         read_event_file(path)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("# horizon=10\n1.0\n\n# note\n2.0\nnan\n3.0\nzz\n", "line 6: .*finite"),
-    ("# horizon=10\n1.0\n  \n\t# note\n2.0\n1.5\n", "line 6: .*does not increase"),
-    ("# horizon=10\n1.0\n2.0\n2.0\n3.0\n", "line 4: .*does not increase"),
-    ("# horizon=10\n1.0\n2.0 # note\n3.0\n", "line 3: not a number"),
-    ("# horizon=10\n1.0\n2.0 3.0\n", "line 3: not a number"),
-    ("# run 3\n1.0\n0.5\n# horizon=x\n", "line 3: .*does not increase"),
-    ("# run 3\n1.0\n# horizon=x\n2.0\n", "line 3: bad horizon header"),
-    ("1.0\n2.0", "missing '# horizon=' header")],
-    ids=["non_finite", "decrease_after_blank", "repeat", "inline_comment", "two_numbers",
-         "decrease_before_bad_header", "bad_header", "no_header"])
-def test_event_file_errors_at_every_read_size(tmp_path, monkeypatch, text, message):
-    # every read size puts the block boundary at another character
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    for size in range(1, len(text) + 2):
-        monkeypatch.setattr(renewal, "_READ_CHARS", size)
-        with pytest.raises(ValueError, match=message):
-            read_event_file(path)
-
-
-def test_event_file_reads_comments_and_blank_lines_at_every_read_size(
-        tmp_path, monkeypatch):
-    text = ("# run 3\n\n  # horizon=7\n0.5\n \t\n1.25 \n# horizon=9.5\n\n"
-            "  2.0\n# note\n9.5")
+def test_event_file_reads_comments_and_blank_lines(tmp_path):
+    # one header before the first time; '#' starts a comment anywhere, so a
+    # later '# horizon=' line is one
     path = tmp_path / "events.txt"
-    path.write_text(text)
-    for size in range(1, len(text) + 2):
-        monkeypatch.setattr(renewal, "_READ_CHARS", size)
+    path.write_text("# run 3\n\n  # horizon=9.5\n0.5\n \t\n1.25 # note\n# horizon=7\n\n"
+                    "  2.0\n# note\n9.5")
+    seq = read_event_file(path)
+    assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+
+
+def test_event_file_reads_a_trailing_comment(tmp_path):
+    # '2.0 # note' is the time 2.0 followed by a comment, not a bad line
+    path = tmp_path / "events.txt"
+    path.write_text("# horizon=10\n1.0\n2.0 # note\n3.0\n")
+    seq = read_event_file(path)
+    assert seq.horizon == 10.0 and seq.events.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_event_file_header_only_reads_without_warning(tmp_path):
+    # what `simulate` writes when no event falls in the horizon
+    path = tmp_path / "events.txt"
+    write_event_file(path, EventSequence(np.empty(0), 0.0))
+    assert path.read_text() == "# horizon=0.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         seq = read_event_file(path)
-        assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+    assert seq.horizon == 0.0 and seq.events.shape == (0,)
 
 
 @pytest.mark.parametrize("header", ["ab", "nan", "inf", "-1.0"])
@@ -426,17 +416,51 @@ def test_event_file_bad_horizon_names_its_line(tmp_path, header):
 
 @pytest.mark.parametrize("final", [True, False], ids=["final_end", "no_final_end"])
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_event_file_reads_every_line_end(tmp_path, monkeypatch, end, final):
-    # the line count that sizes the event array must bound every line end
-    # text mode reads, also a CRLF split between two binary chunks
+def test_event_file_reads_every_line_end(tmp_path, end, final):
+    # text mode reads every line end, so loadtxt and the scan that names a
+    # bad line count the same lines
     lines = ["# run 3", "# horizon=9.5", "0.5", "", "1.25", "# note", "2.0", "9.5"]
-    data = (end.join(lines) + (end if final else "")).encode()
     path = tmp_path / "events.txt"
-    path.write_bytes(data)
-    for size in range(1, len(data) + 2):
-        monkeypatch.setattr(renewal, "_READ_CHARS", size)
-        seq = read_event_file(path)
-        assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+    path.write_bytes((end.join(lines) + (end if final else "")).encode())
+    seq = read_event_file(path)
+    assert seq.horizon == 9.5 and seq.events.tolist() == [0.5, 1.25, 2.0, 9.5]
+    lines[6] = "x"
+    path.write_bytes((end.join(lines) + (end if final else "")).encode())
+    with pytest.raises(ValueError, match="events.txt: line 7: not a number"):
+        read_event_file(path)
+
+
+# strictly increasing positive times over the whole float range, subnormal
+# and huge magnitudes included
+increasing_times = st.lists(st.floats(min_value=5e-324, max_value=1.7e308),
+                            min_size=1, max_size=50, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=increasing_times)
+def test_event_file_roundtrip_is_bit_identical(tmp_path_factory, times):
+    seq = EventSequence(np.array(times), times[-1])
+    path = tmp_path_factory.mktemp("events") / "events.txt"
+    write_event_file(path, seq)
+    back = read_event_file(path)
+    assert back.horizon == seq.horizon
+    assert back.events.tobytes() == seq.events.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=increasing_times, data=st.data(),
+       bad=st.sampled_from([("x", "not a number"), ("nan", "event time must be finite"),
+                            (None, "event time .* does not increase past")]))
+def test_event_file_error_names_the_corrupted_line(tmp_path_factory, times, data, bad):
+    i = data.draw(st.integers(0, len(times) - 1), label="event")
+    text, message = bad
+    lines = [f"# horizon={times[-1]!r}", *map(repr, times)]
+    # None: the time before, 0.0 for the first event, which no time may repeat
+    lines[i + 1] = repr(times[i - 1] if i else 0.0) if text is None else text
+    path = tmp_path_factory.mktemp("events") / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.txt: line {i + 2}: {message}"):
+        read_event_file(path)
 
 
 def traced_peak(fn, *args):
@@ -462,47 +486,53 @@ def test_event_file_write_holds_one_block(tmp_path, n):
 
 
 def test_event_file_read_holds_one_event_buffer(tmp_path):
-    # one array of events plus about 2.3 MiB of block buffers; per-block
-    # parts and their concatenation would hold the events twice
+    # one array of events, which loadtxt grows by reallocation, plus 0.3 MiB
+    # of line buffers; a list of Python floats or a copy of the array would
+    # hold the events twice
     seq = exponential_sequence(3 * 10**5)
     path = tmp_path / "events.txt"
     write_event_file(path, seq)
     back, peak = traced_peak(read_event_file, path)
     assert peak <= seq.events.nbytes + 3 * 2**20
+    assert peak <= 1.75 * seq.events.nbytes  # the sequence shares loadtxt's array
     assert back.horizon == seq.horizon and np.array_equal(back.events, seq.events)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_event_file_from_a_pipe_is_refused_by_name(tmp_path):
-    # the line count takes a first pass, which a pipe cannot rewind
-    path = tmp_path / "events.fifo"
+def fed_fifo(path, text):
+    """A thread that writes text into a new FIFO at path once a reader opens it."""
     os.mkfifo(path)
 
     def feed():
         try:
             with open(path, "w") as fh:
-                fh.write("# horizon=2\n1.0\n")
+                fh.write(text)
         except BrokenPipeError:  # the reader closed first
             pass
 
     writer = threading.Thread(target=feed)
     writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_file_reads_from_a_pipe(tmp_path):
+    writer = fed_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n1.5 # note\n")
     try:
-        with pytest.raises(ValueError, match="events.fifo: cannot read events from a pipe"):
-            read_event_file(path)
+        seq = read_event_file(tmp_path / "events.fifo")
     finally:
         writer.join()
+    assert seq.horizon == 2.0 and seq.events.tolist() == [1.0, 1.5]
 
 
-def test_event_file_that_grows_while_read_is_named(tmp_path, monkeypatch):
-    # more lines than the first pass counted: an error naming the file,
-    # not a failed array assignment
-    path = tmp_path / "events.txt"
-    path.write_text("# horizon=9\n1.0\n2.0\n3.0\n")
-    real = renewal._line_ends
-    monkeypatch.setattr(renewal, "_line_ends", lambda fh: real(fh) - 3)
-    with pytest.raises(ValueError, match="events.txt: the file grew while it was read"):
-        read_event_file(path)
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_file_error_from_a_pipe_names_the_pipe(tmp_path):
+    # a pipe cannot be read again to find the line
+    writer = fed_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n0.5\n")
+    try:
+        with pytest.raises(ValueError, match="events.fifo: .*decreasing time 0.5"):
+            read_event_file(tmp_path / "events.fifo")
+    finally:
+        writer.join()
 
 
 def test_event_order_check_allocates_a_byte_per_event():
