@@ -20,10 +20,10 @@ variance makes the window contribute nothing to s_hat.
 
 The three processes evaluate on the grid of a `WindowConfig`, where
 t - h, t and t + h are lattice nodes: they read every window as a lattice
-interval, from one lookup of the event counts at the lattice nodes that
-all window sizes share (`EventSequence.lattice_counts`), and compute each
-interval's half-window statistics once.  `window_estimate_series` serves
-arbitrary nodes.  Both front ends apply the same half-window formula.
+interval, from one `EventSequence.lattice` record of the counts and squared
+life-time prefix at the lattice nodes that all window sizes share, and
+compute each interval's half-window statistics once.  `window_estimate_series`
+serves arbitrary nodes.  Both gather the sums for one half-window formula.
 """
 
 from __future__ import annotations
@@ -80,22 +80,22 @@ class WindowEstimateSeries:
     s_hat: np.ndarray        # estimated scaling, 0 where undefined
 
 
-def _half_windows(seq: EventSequence, lo: np.ndarray, hi: np.ndarray):
+def _half_windows(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, totsq: np.ndarray):
     """Count, mean and variance of the windows holding events lo..hi-1.
 
     lo and hi are event counts N at the window edges, so the window
-    (a, b] holds the events with 0-based indices lo = N_a .. hi - 1 = N_b - 1.
+    (a, b] holds the events with 0-based indices lo = N_a .. hi - 1 = N_b - 1,
+    and totsq is the sum of the squares of their life times after the
+    first, read only where the window holds more than two events.
     """
-    s = seq.events
-    sq = seq.life_time_square_prefix()
-    last = len(s) - 1
     cnt = hi - lo
     many = cnt > 1
     # sum of life times with 0-based index in [lo+1, hi-1] via event-time
-    # partial sums; gather is clipped and masked where cnt <= 1
-    tot = s[np.clip(hi - 1, 0, last)] - s[np.clip(lo, 0, last)]
+    # partial sums; gather is clipped and masked where cnt <= 1, which is
+    # everywhere if there are no events
+    last = s.size - 1
+    tot = s[np.clip(hi - 1, 0, last)] - s[np.clip(lo, 0, last)] if s.size else 0.0
     mean = np.where(many, tot / np.maximum(cnt - 1, 1), 0.0)
-    totsq = sq[hi] - sq[np.minimum(lo + 1, hi)]
     var = (totsq - np.maximum(cnt - 1, 1) * mean**2) / np.maximum(cnt - 2, 1)
     var = np.where(cnt > 2, np.maximum(var, 0.0), 0.0)
     return cnt, mean, var
@@ -117,19 +117,13 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
     grid = np.asarray(grid, dtype=float)
     if grid.size:
         _check_window(seq, n, grid[0] - h, grid[-1] + h)
-    if len(seq) == 0:
-        zeros = np.zeros(grid.size)
-        counts = np.zeros(grid.size, dtype=int)
-        return WindowEstimateSeries(
-            grid=grid, count_left=counts, count_right=counts.copy(),
-            mean_left=zeros, mean_right=zeros.copy(), var_left=zeros.copy(),
-            var_right=zeros.copy(), count_diff=zeros.copy(), s_hat=zeros.copy())
     s = seq.events
+    sq = seq.life_time_square_prefix()
     le = np.searchsorted(s, n * (grid - h), side="right")
     mi = np.searchsorted(s, n * grid, side="right")
     ri = np.searchsorted(s, n * (grid + h), side="right")
-    cnt_l, mean_l, var_l = _half_windows(seq, le, mi)
-    cnt_r, mean_r, var_r = _half_windows(seq, mi, ri)
+    cnt_l, mean_l, var_l = _half_windows(s, le, mi, sq[mi] - sq[np.minimum(le + 1, mi)])
+    cnt_r, mean_r, var_r = _half_windows(s, mi, ri, sq[ri] - sq[np.minimum(mi + 1, ri)])
     shat = np.sqrt((_scaling_term(mean_r, var_r) + _scaling_term(mean_l, var_l))
                    * n * h)
     return WindowEstimateSeries(
@@ -143,18 +137,17 @@ def _lattice_windows(seq: EventSequence, cfg: WindowConfig, h: float, n: int):
 
     With h = k * grid_step, node j's halves are the lattice intervals
     (x_{j-k}, x_j] and (x_j, x_{j+k}].  The half-window formula runs once
-    per interval (x_a, x_{a+k}], on the counts `seq.lattice_counts` looked
-    up once for all window sizes; node j reads entry j - k (left half)
-    and entry j (right half).
+    per interval (x_a, x_{a+k}], on the record `seq.lattice` looked up
+    once for all window sizes; node j reads entry j - k (left half) and
+    entry j (right half).
     """
     j = cfg.grid_indices(h)
     grid = j * cfg.grid_step
     _check_window(seq, n, grid[0] - h, grid[-1] + h)
-    if len(seq) == 0:
-        return grid, np.zeros(grid.size), np.zeros(grid.size)
     k = int(j[0])                     # the grid starts at node h = k * grid_step
-    idx = seq.lattice_counts(cfg.grid_step, int(j[-1]) + k, n)
-    cnt, mean, var = _half_windows(seq, idx[:-k], idx[k:])
+    lat = seq.lattice(cfg.grid_step, int(j[-1]) + k, n)
+    cnt, mean, var = _half_windows(seq.events, lat.counts[:-k], lat.counts[k:],
+                                   lat.sq[k:] - lat.sq_next[:-k])
     term = _scaling_term(mean, var)
     shat = np.sqrt((term[k:] + term[:-k]) * n * h)
     return grid, (cnt[k:] - cnt[:-k]).astype(float), shat

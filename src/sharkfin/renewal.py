@@ -19,13 +19,14 @@ is independently reproducible and safe to run in parallel.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -205,6 +206,14 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     return times
 
 
+class Lattice(NamedTuple):
+    """Event counts at lattice nodes and the squared life-time prefix there."""
+
+    counts: np.ndarray    # N at each node
+    sq: np.ndarray        # life_time_square_prefix()[counts]
+    sq_next: np.ndarray   # life_time_square_prefix()[min(counts + 1, N)]
+
+
 @dataclass(frozen=True, eq=False)
 class EventSequence:
     """Strictly increasing event times on (0, horizon]; a read-only float
@@ -241,14 +250,13 @@ class EventSequence:
     def __len__(self) -> int:
         return int(self.events.size)
 
-    @cached_property
-    def _life(self) -> np.ndarray:
-        out = np.diff(self.events, prepend=0.0)
-        out.flags.writeable = False
-        return out
+    def life_times(self) -> np.ndarray:
+        """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1, fresh on each call."""
+        return np.diff(self.events, prepend=0.0)
 
-    @cached_property
-    def _life_sq_prefix(self) -> np.ndarray:
+    def life_time_square_prefix(self) -> np.ndarray:
+        """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1, fresh
+        on each call."""
         # one (N+1) buffer: [0, xi_1, ..., xi_N], squared and summed in place,
         # so this path never materialises the life times themselves
         s = self.events
@@ -259,35 +267,31 @@ class EventSequence:
             np.subtract(s[1:], s[:-1], out=out[2:])
         np.multiply(out, out, out=out)
         np.cumsum(out, out=out)
-        out.flags.writeable = False
         return out
-
-    def life_times(self) -> np.ndarray:
-        """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1."""
-        return self._life
-
-    def life_time_square_prefix(self) -> np.ndarray:
-        """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1."""
-        return self._life_sq_prefix
 
     @cached_property
     def _lattice_cache(self) -> dict:
         return {}
 
-    def lattice_counts(self, step: float, size: int, n: float = 1) -> np.ndarray:
-        """Counts N at n * (j * step) for j = 0..size, looked up once per lattice.
+    def lattice(self, step: float, size: int, n: float = 1) -> Lattice:
+        """The `Lattice` of the nodes n * (j * step) for j = 0..size.
 
         Cached read-only per (step, size, n), so the statistic processes of
-        every window size over one `WindowConfig` share one search.
+        every window size over one `WindowConfig` share one search.  The
+        squared life-time prefix is built for the lookup and dropped, so a
+        sequence holds O(size) floats per lattice, not O(N).
         """
         key = (step, size, n)
-        idx = self._lattice_cache.get(key)
-        if idx is None:
-            idx = np.searchsorted(self.events, n * (np.arange(size + 1) * step),
-                                  side="right")
-            idx.flags.writeable = False
-            self._lattice_cache[key] = idx
-        return idx
+        lat = self._lattice_cache.get(key)
+        if lat is None:
+            counts = np.searchsorted(self.events, n * (np.arange(size + 1) * step),
+                                     side="right")
+            sq = self.life_time_square_prefix()
+            lat = Lattice(counts, sq[counts], sq[np.minimum(counts + 1, len(self))])
+            for a in lat:
+                a.flags.writeable = False
+            self._lattice_cache[key] = lat
+        return lat
 
     def count_at(self, t: float) -> int:
         """N_t, the number of events in (0, t]."""
@@ -534,9 +538,9 @@ class WindowConfig:
 # before the header only comment and blank lines may stand, after it a
 # '# horizon=' line is one more comment.  The writer holds one block of
 # _IO_BLOCK lines (under 0.5 MiB).  The reader converts the times with one
-# np.loadtxt call, so the event array is the only buffer that grows with the
-# file, and reads the file a second time, line by line, only to name the line
-# of an error.
+# np.loadtxt call, so the event array is the only buffer that grows with a
+# seekable file (a pipe is buffered whole first), and reads the input a second
+# time, line by line, only to name the line of an error.
 _IO_BLOCK = 1 << 12
 
 
@@ -586,9 +590,10 @@ def _name_bad_line(path, fh) -> None:
 
 
 def read_event_file(path) -> EventSequence:
-    """Read an event file; errors name the file and, if it can be read again,
-    the line."""
-    with open(path) as fh:
+    """Read an event file; errors name the file and the line."""
+    with open(path) as file:
+        # a pipe is buffered whole, so that an error can be read again
+        fh = file if file.seekable() else io.StringIO(file.read())
         horizon = _horizon(path, fh)
         try:
             with warnings.catch_warnings():  # a header-only file holds no events
@@ -597,7 +602,6 @@ def read_event_file(path) -> EventSequence:
             events.flags.writeable = False  # so the sequence shares this one buffer
             return EventSequence(events, horizon)
         except ValueError as exc:
-            if fh.seekable():
-                fh.seek(0)
-                _name_bad_line(path, fh)
+            fh.seek(0)
+            _name_bad_line(path, fh)
             raise ValueError(f"{path}: {exc}") from None

@@ -1,12 +1,14 @@
 """Property tests of the vectorised window estimators.
 
 `window_estimate_series` works with partial sums over the whole sequence
-(event times for the life-time sums, the cached squared life-time prefix
-for the sums of squares); the definition-level oracles in `oracles.py`
+(event times for the life-time sums, the squared life-time prefix for the
+sums of squares); the definition-level oracles in `oracles.py`
 sum the life times of one window directly.  Both must agree on every
 count exactly and on every estimate up to the rounding error of the
 prefix sums, which the tolerances below bound from the data.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ STEP = 0.25   # dyadic, so grid nodes and window edges n*(t +- h) are exact
 
 
 def old_square_prefix(seq):
-    """The per-call expression the cached prefix replaced."""
+    """The expression the one-buffer prefix replaced."""
     xi = seq.life_times()
     return np.concatenate(([0.0], np.cumsum(xi * xi)))
 
@@ -118,7 +120,7 @@ def test_sparse_windows_on_edges_match_oracle(events, h, n, counts):
 
 
 # ---------------------------------------------------------------------------
-# the cached squared life-time prefix
+# the squared life-time prefix and the lattice record
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,8 +131,9 @@ def test_square_prefix_is_bit_identical_to_per_call_expression(case):
     got = fresh.life_time_square_prefix()
     assert got.shape == (len(seq) + 1,)
     assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
-    assert not got.flags.writeable
-    assert fresh.life_time_square_prefix() is got
+    # computed on each call: the sequence keeps no O(N) array
+    assert got.flags.writeable
+    assert fresh.life_time_square_prefix() is not got
 
 
 @pytest.mark.parametrize("events", [[], [0.75], [0.75, 2.0], [1e-300, 1e-10, 3.0]])
@@ -140,25 +143,39 @@ def test_square_prefix_small_sequences(events):
     assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
 
 
-@pytest.mark.parametrize("model", [SHARK_WEST, SHARK_EAST], ids=["west", "east"])
-def test_detect_does_not_depend_on_prefix_cache(model):
+# west-32 has the size of the cli_pipeline input, about 336,000 events, where
+# a cache of O(N) floats would hold 2.7 MB
+@pytest.mark.parametrize("model, n", [(SHARK_WEST, 2), (SHARK_EAST, 2), (SHARK_WEST, 32)],
+                         ids=["west", "east", "west-32"])
+def test_detect_does_not_depend_on_prefix_cache(model, n):
     h_set = (50.0, 100.0, 150.0)
     table = ThresholdTable(alpha=0.05, h_set=h_set, T=1000.0, grid_step=5.0,
                            n_sims=1000, seed=0, Q=3.0,
                            per_h_max_quantiles={h: 3.0 for h in h_set})
-    events = simulate_compound(model.with_scale(2), seed=11).events
-    cold = EventSequence(events, 2000.0)
-    warm = EventSequence(events, 2000.0)
-    warm.life_time_square_prefix()
-    old = EventSequence(events, 2000.0)
-    # the per-call expression the prefix replaced, planted in the cache
-    old.__dict__["_life_sq_prefix"] = old_square_prefix(old)
-    results = [detect(seq, 1000.0, 2, h_set, table) for seq in (cold, warm, old)]
-    for res in results[1:]:
-        assert res.global_max == results[0].global_max
-        assert res.change_points == results[0].change_points
-        for h in h_set:
-            a, b = results[0].per_h_series[h], res.per_h_series[h]
-            assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
-            assert np.array_equal(a.valid, b.valid)
+    events = simulate_compound(model.with_scale(n), seed=11).events
+    cold = EventSequence(events, n * 1000.0)
+    warm = EventSequence(events, n * 1000.0)
+    tracemalloc.start()
+    try:
+        detect(warm, 1000.0, n, h_set, table)  # the result is dropped at once
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # what warm holds now is its one lattice record, O(lattice) and not O(N)
+    assert held < 2**20
+    (lat,) = warm._lattice_cache.values()
+    nodes = n * 5.0 * np.arange(201)  # the lattice 0, 5, ..., 1000 at scale n
+    assert np.array_equal(lat.counts, np.searchsorted(events, nodes, side="right"))
+    prefix = warm.life_time_square_prefix()
+    assert np.array_equal(lat.sq.view(np.int64), prefix[lat.counts].view(np.int64))
+    assert np.array_equal(lat.sq_next.view(np.int64),
+                          prefix[np.minimum(lat.counts + 1, len(warm))].view(np.int64))
+    # detect on the cached record gives the bits of detect on a fresh sequence
+    results = [detect(seq, 1000.0, n, h_set, table) for seq in (cold, warm)]
+    assert results[1].global_max == results[0].global_max
+    assert results[1].change_points == results[0].change_points
+    for h in h_set:
+        a, b = results[0].per_h_series[h], results[1].per_h_series[h]
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+        assert np.array_equal(a.valid, b.valid)
     assert results[0].reject

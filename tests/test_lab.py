@@ -280,8 +280,8 @@ SMOKE_REPORT_SHA256 = {
 }
 
 
-def test_verification_suite_smoke_all_pass():
-    reports = run_verification_suite(scale="smoke")
+def test_verification_suite_smoke_all_pass(monkeypatch):
+    reports = smoke_suite(monkeypatch, lab.DEFAULT_SUITE_SEED, worker_count())
     names = [r.experiment for r in reports]
     assert names == ["h0_limit", "alternative_limit", "window_lln",
                      "estimator_consistency_shape_change",
@@ -344,14 +344,25 @@ def use_cpus(monkeypatch, count):
     assert worker_count() == count
 
 
+_SMOKE_SUITES = {}
+
+
+def smoke_suite(monkeypatch, seed, workers):
+    """The smoke suite's reports at seed on `workers` CPUs, run once per
+    (seed, workers) in this module; no worker may outlive that run."""
+    use_cpus(monkeypatch, workers)
+    if (seed, workers) not in _SMOKE_SUITES:
+        _SMOKE_SUITES[seed, workers] = run_verification_suite(seed, scale="smoke")
+        assert multiprocessing.active_children() == []
+    return _SMOKE_SUITES[seed, workers]
+
+
 @pytest.mark.parametrize("seed", [lab.DEFAULT_SUITE_SEED, 7])
 def test_suite_reports_independent_of_pool_size(monkeypatch, seed):
     direct = [r.to_json() for r in direct_smoke_reports(seed)]
     for workers in (1, 2, 3):
-        use_cpus(monkeypatch, workers)
-        suite = [r.to_json() for r in run_verification_suite(seed, scale="smoke")]
+        suite = [r.to_json() for r in smoke_suite(monkeypatch, seed, workers)]
         assert suite == direct, f"pool size {workers}"
-        assert multiprocessing.active_children() == []
 
 
 def test_replicate_rows_come_back_in_replicate_order(monkeypatch):
@@ -387,8 +398,7 @@ def _fail_in_worker(parent_pid, *args, **kwargs):
 
 
 def test_no_worker_outlives_the_suite(monkeypatch):
-    use_cpus(monkeypatch, 2)
-    run_verification_suite(scale="smoke")
+    smoke_suite(monkeypatch, lab.DEFAULT_SUITE_SEED, 2)
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(lab, "simulate_renewal",
                         functools.partial(_fail_in_worker, os.getpid()))

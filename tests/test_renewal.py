@@ -498,8 +498,8 @@ def test_event_file_read_holds_one_event_buffer(tmp_path):
     assert back.horizon == seq.horizon and np.array_equal(back.events, seq.events)
 
 
-def fed_fifo(path, text):
-    """A thread that writes text into a new FIFO at path once a reader opens it."""
+def read_fifo(path, text):
+    """read_event_file on a new FIFO at path, which a thread feeds with text."""
     os.mkfifo(path)
 
     def feed():
@@ -511,28 +511,31 @@ def fed_fifo(path, text):
 
     writer = threading.Thread(target=feed)
     writer.start()
-    return writer
+    try:
+        return read_event_file(path)
+    finally:
+        writer.join()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_event_file_reads_from_a_pipe(tmp_path):
-    writer = fed_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n1.5 # note\n")
-    try:
-        seq = read_event_file(tmp_path / "events.fifo")
-    finally:
-        writer.join()
+    seq = read_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n1.5 # note\n")
     assert seq.horizon == 2.0 and seq.events.tolist() == [1.0, 1.5]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_event_file_error_from_a_pipe_names_the_pipe(tmp_path):
-    # a pipe cannot be read again to find the line
-    writer = fed_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n0.5\n")
-    try:
-        with pytest.raises(ValueError, match="events.fifo: .*decreasing time 0.5"):
-            read_event_file(tmp_path / "events.fifo")
-    finally:
-        writer.join()
+    # a pipe is buffered whole, so it is read again to find the line
+    with pytest.raises(ValueError, match="events.fifo: line 3: event time 0.5 "
+                                         "does not increase past 1.0"):
+        read_fifo(tmp_path / "events.fifo", "# horizon=2\n1.0\n0.5\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_event_file_error_from_a_pipe_names_the_file_line(tmp_path):
+    # the file line, counting the comment and the blank line, not loadtxt's data row
+    with pytest.raises(ValueError, match="events.fifo: line 5: not a number: 'x'"):
+        read_fifo(tmp_path / "events.fifo", "# horizon=5\n1.0\n# note\n\nx\n")
 
 
 def test_event_order_check_allocates_a_byte_per_event():
