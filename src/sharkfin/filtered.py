@@ -111,8 +111,9 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
                            n: int = 1) -> WindowEstimateSeries:
     """Evaluate both window halves at every grid node in O(log N) per node.
 
-    Serves arbitrary nodes; the statistic processes, whose nodes are the
-    lattice of a `WindowConfig`, read their windows from `_lattice_windows`.
+    Each call builds the O(N) squared life-time prefix: pass all nodes at
+    once.  Serves arbitrary nodes; the statistic processes, whose nodes are
+    the lattice of a `WindowConfig`, read theirs from `_lattice_windows`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size:
@@ -158,6 +159,7 @@ def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:
 
     A window half whose mean or variance estimate is zero contributes
     nothing; 0.0 therefore signals that the statistic is undefined at t.
+    Each call costs O(N): for many nodes, call `window_estimate_series` once.
     """
     return float(window_estimate_series(seq, np.array([float(t)]), h, n).s_hat[0])
 

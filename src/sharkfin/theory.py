@@ -27,7 +27,7 @@ inside (c, c + h).
 
 The zero-mean, unit-variance Gaussian limit process of the statistic is
 built from increments of a single Brownian path over the two windows,
-with weighted branch forms inside the change-point neighbourhood.
+each increment weighted by the law in force on its side of c.
 """
 
 from __future__ import annotations
@@ -324,12 +324,13 @@ def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
 
     One helper thread draws each chunk after the first into a second
     increments buffer while this thread scales and sums the chunk before
-    it and the caller reads that; numpy releases the GIL in both.  The
-    draws still run one at a time and in chunk order, so the values, and
-    the state of `rng` after a full pass, are those of the serial draw.
-    The draw runs one chunk ahead: after an early close, `rng` has
-    advanced one chunk past the last one yielded.  Every caller in this
-    package draws from a fresh substream and reads it to the end.
+    it and the caller reads that; the sums (one 2-D `np.cumsum`) hold the
+    GIL for most of their run, so a draw overlaps mainly the scaling and
+    the reads.  The draws still run one at a time and in chunk order, so
+    the values, and the state of `rng` after a full pass, are those of the
+    serial draw.  The draw runs one chunk ahead: after an early close,
+    `rng` has advanced one chunk past the last one yielded.  Every caller
+    in this package draws from a fresh substream and reads it to the end.
     """
     # imported here: the thread pool module costs every import of the package
     from concurrent.futures import ThreadPoolExecutor
@@ -364,44 +365,39 @@ def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
     """Discretised sample paths of the Gaussian limit process.
 
     Returns (grid, values) where values has shape (n_paths, len(grid)).
-    One Brownian path per replicate is sampled on the full lattice over
+    One Brownian path W per replicate is sampled on the full lattice over
     [0, T] with independent N(0, grid_step) increments; window offsets
     and the change point are resolved by lattice index arithmetic, which
-    is why h and c must be multiples of the grid step.
+    is why h and c must be multiples of the grid step.  L_t is W's increment
+    over (t, t+h] minus that over (t-h, t], over s_t at n = 1, each step
+    weighted by sqrt(sigma_i^2/mu_i^3) of the law in force on its side of c.
     """
     if abs(p.T - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ConfigurationError(f"params horizon {p.T} != grid horizon {cfg.T}")
-    delta = cfg.grid_step
     jg = cfg.grid_indices(p.h)
     kh = cfg.lattice_index(p.h, "window size")
     kc = cfg.lattice_index(p.c, "change point")
-    grid = jg * delta
-
-    mid_left = (jg >= kc - kh) & (jg <= kc)
-    mid_right = (jg > kc) & (jg <= kc + kh)
-    outer = ~(mid_left | mid_right)
-    g1 = math.sqrt(p.ratio1)
-    g2 = math.sqrt(p.ratio2)
-    p1 = p.at_scale(1)
-    s_left = s_function(grid[mid_left], p1)
-    s_right = s_function(grid[mid_right], p1)
+    grid = jg * cfg.grid_step
+    ju, jv = np.clip(kc, jg, jg + kh), np.clip(kc, jg - kh, jg)
+    g1, g2 = math.sqrt(p.ratio1), math.sqrt(p.ratio2)
+    s = s_function(grid, p.at_scale(1))
 
     m = jg.size
     values = np.empty((n_paths, m))
     rng = substream(seed, *stream)
-    for rows, w in brownian_blocks(rng, n_paths, cfg.lattice_size(), delta):
+    for rows, w in brownian_blocks(rng, n_paths, cfg.lattice_size(), cfg.grid_step):
         # the grid is jg = kh, ..., kh+m-1, so w at jg+kh, jg, jg-kh are slices
         wp, wt, wm = w[:, 2 * kh:2 * kh + m], w[:, kh:kh + m], w[:, :m]
-        v = values[rows]
-        v[:, outer] = ((wp[:, outer] - 2.0 * wt[:, outer] + wm[:, outer])
-                       / math.sqrt(2.0 * p.h))
-        wc = w[:, kc][:, None]
-        if mid_left.any():
-            v[:, mid_left] = (
-                g2 * (wp[:, mid_left] - wc)
-                + g1 * (wc - 2.0 * wt[:, mid_left] + wm[:, mid_left])) / s_left
-        if mid_right.any():
-            v[:, mid_right] = (
-                g2 * (wp[:, mid_right] - 2.0 * wt[:, mid_right] + wc)
-                - g1 * (wc - wm[:, mid_right])) / s_right
+        wu, wv = w[:, ju], w[:, jv]  # W where c splits the right and left half
+        out = values[rows]
+        # L s = g1 (W_j-kh - W_j + D) + g2 (W_j+kh - W_j - D), D = W_u - W_v
+        wu -= wv
+        np.subtract(wm, wt, out=out)
+        out += wu
+        out *= g1
+        np.subtract(wp, wt, out=wv)
+        wv -= wu
+        wv *= g2
+        out += wv
+        out /= s
     return grid, values

@@ -41,3 +41,33 @@ def brute_s_hat(events, t, h, n=1):
     right = brute_window_stats(events, n * t, n * (t + h))
     left = brute_window_stats(events, n * (t - h), n * t)
     return math.sqrt((term(right) + term(left)) * n * h)
+
+
+def brute_L_covariance(p, step, t, u):
+    """Cov(L_t, L_u) of the Gaussian limit process from its definition.
+
+    L_t = sum_i a_t(i) dW_i over the lattice steps i, each step
+    ((i-1)*step, i*step] with Var dW_i = step.  a_t(i) = +g(i)/s_t on the
+    right window half (t, t+h], -g(i)/s_t on the left half (t-h, t] and 0
+    elsewhere, with g(i)^2 = sigma1^2/mu1^3 for a step that ends at or
+    before c and sigma2^2/mu2^3 after it, and s_t^2 = step * sum of g(i)^2
+    over both halves.  So the covariance is step * sum_i a_t(i) a_u(i); it
+    is summed here in g(i)^2, where the step cancels.
+    """
+    r1 = p.sigma1_sq / p.mu1**3
+    r2 = p.sigma2_sq / p.mu2**3
+    kc, kh = round(p.c / step), round(p.h / step)
+
+    def signs(x):
+        """step index -> +1 on the right half of node x, -1 on the left."""
+        j = round(x / step)
+        return {i: 1 if i > j else -1 for i in range(j - kh + 1, j + kh + 1)}
+
+    def g_sq(i):
+        return r1 if i <= kc else r2
+
+    st, su = signs(t), signs(u)
+    var_t = sum(g_sq(i) for i in st)
+    var_u = sum(g_sq(i) for i in su)
+    cross = sum(st[i] * su[i] * g_sq(i) for i in st if i in su)
+    return cross / math.sqrt(var_t * var_u)

@@ -1,4 +1,5 @@
-"""No sharkfin module reaches a private name of another sharkfin module."""
+"""No sharkfin module reaches a private name of another sharkfin module,
+and none imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,45 @@ def test_private_reaches_finds_both_forms():
     assert private_reaches(source, "detector") == [
         (1, "renewal._events_between"), (2, "theory._window_limit"),
         (7, "filtered._left"), (7, "lab._replicate_rows")]
+
+
+def unused_imports(source):
+    """(line, name) for every name that `source` imports and never reads.
+
+    A name listed in a literal `__all__` counts as used (it is re-exported),
+    and `from __future__` imports bind no name.
+    """
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in getattr(node.value, "elts", ())
+                        if isinstance(e, ast.Constant))
+    return sorted((line, name) for line, name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_imports_finds_every_form():
+    source = ("from __future__ import annotations\n"
+              "import math, os.path\n"
+              "import numpy as np\n"
+              "from .renewal import substream, WindowConfig as WC\n"
+              "from .theory import s_function\n"
+              "__all__ = ['s_function']\n"
+              "def f(cfg: WC):\n"
+              "    from concurrent.futures import ThreadPoolExecutor\n"
+              "    return math.pi\n")
+    assert unused_imports(source) == [
+        (2, "os"), (3, "np"), (4, "substream"), (8, "ThreadPoolExecutor")]

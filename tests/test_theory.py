@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geometry import check_fin_geometry
+from oracles import brute_L_covariance
 from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B,
                               ORIENTATION_MODELS, SHARK_EAST,
                               SHARK_EAST_INVERTED, SHARK_WEST,
@@ -383,7 +384,7 @@ def test_simulate_L_deterministic_and_flat_reduces_to_null_form():
     _, a = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
     _, b = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
     assert np.array_equal(a, b)
-    # without a change, the branch forms collapse to the null form, so the
+    # without a change every lattice step has the same weight, so the
     # path cannot depend on where c sits
     _, flat1 = simulate_L_paths(cfg, FLAT, seed=6, n_paths=1)
     _, flat2 = simulate_L_paths(cfg, TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
@@ -428,6 +429,57 @@ def test_simulate_L_unit_variance_quick():
     for t in (150.0, 500.0, 850.0):
         v = paths[:, np.searchsorted(grid, t)].var(ddof=1)
         assert abs(v - 1.0) < 0.08
+
+
+def null_L_covariance(tau, h):
+    """Cov(L_t, L_t+tau) of the null form, from the overlaps of the windows."""
+    tau = abs(tau)
+    if tau <= h:
+        return (2 * h - 3 * tau) / (2 * h)
+    return (tau - 2 * h) / (2 * h) if tau <= 2 * h else 0.0
+
+
+@pytest.mark.parametrize("p", [FLAT, TheoryParams(0.5, 0.5, 0.25, 0.25, c=300.0,
+                                                  T=1000.0, h=150.0)],
+                         ids=["unit", "r=2"])
+def test_L_covariance_oracle_is_the_null_form_without_a_change(p):
+    # equal laws on both sides of c: every weight is the same, and the
+    # oracle must give the closed form exactly, across c and at every lag
+    grid = WindowConfig(1000.0, (150.0,), 5.0).grid(150.0)
+    for t in (150.0, 295.0, 300.0, 500.0):
+        for u in grid:
+            assert brute_L_covariance(p, 5.0, t, u) == null_L_covariance(u - t, 150.0)
+
+
+L_COV_PATHS = 20_000
+# fixed before the first run: the mean of L_t * L_u over n paths has
+# standard deviation sqrt((1 + rho^2) / n) <= sqrt(2 / n), so this bound
+# is over four standard deviations
+L_COV_BOUND = 6.0 / math.sqrt(L_COV_PATHS)
+L_COV_CASES = {**ORIENTATION_MODELS, "distortion_a": DISTORTION_A,
+               "distortion_b": DISTORTION_B}
+
+
+@pytest.mark.parametrize("name", sorted(L_COV_CASES))
+def test_simulate_L_covariance_matches_definition(name):
+    p = TheoryParams.from_model(L_COV_CASES[name], 150.0)
+    cfg = WindowConfig(p.T, (p.h,), 5.0)
+    grid, paths = simulate_L_paths(cfg, p, seed=19, n_paths=L_COV_PATHS)
+    h, lo, hi = p.h, grid[0], grid[-1]
+    nodes = (p.c - h, p.c - h / 2, p.c, p.c + h / 2, p.c + h)
+    lags = (0.0, h / 2, h, 3 * h / 2, 2 * h, 5 * h / 2)
+    pairs = sorted({(t, t + sign * lag) for t in nodes for lag in lags
+                    for sign in (1, -1) if lo <= t + sign * lag <= hi})
+    weighted = 0
+    for t, u in pairs:
+        want = brute_L_covariance(p, 5.0, t, u)
+        x, y = paths[:, np.searchsorted(grid, t)], paths[:, np.searchsorted(grid, u)]
+        assert abs(np.mean(x * y) - want) < L_COV_BOUND, (t, u, want)
+        weighted += abs(want - null_L_covariance(u - t, h)) > 2 * L_COV_BOUND
+    # the pairs see the weights of the change-point neighbourhood: where the
+    # oracle is over 2 bounds from the null form, a sampler of the null form
+    # (within one bound of it) misses the oracle by over one bound
+    assert weighted > 0
 
 
 # ---------------------------------------------------------------------------
