@@ -1,6 +1,7 @@
 """Command-line front end: simulate, threshold, detect, theory, verify.
 
-Every command is deterministic given its parameters and --seed.
+Every command is deterministic given its parameters, and every command
+but `theory`, which draws no random numbers, also given its --seed.
 `threshold`, `detect` and `verify` run their Monte Carlo blocks on one
 process per available CPU, with the same outputs at any count.  Each
 parameter and its default is declared once, as a flag of its command.  A
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +51,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     commands = {}
 
     def command(name, help, seed=0):
+        """The subparser of a command; seed=None for one that draws no random numbers."""
         p = commands[name] = sub.add_parser(name, help=help, description=help)
-        p.add_argument("--seed", type=int, default=seed,
-                       help="master RNG seed (default %(default)s)")
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed,
+                           help="master RNG seed (default %(default)s)")
         p.add_argument("--out-dir", default=".",
                        help="output directory (default %(default)r)")
         p.add_argument("--config", help="JSON file with default parameter values")
@@ -91,7 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="window sizes (default %(default)s)")
     threshold_flags(p)
 
-    p = command("theory", "export m, s, m/s and the distortion as CSV")
+    p = command("theory", "export m, s, m/s and the distortion as CSV", seed=None)
     m = SHARK_WEST  # the rate-1-to-20 example at its analysis window
     for flag, default in (("p1", m.phi1.shape), ("l1", m.phi1.rate), ("p2", m.phi2.shape),
                           ("l2", m.phi2.rate), ("c", m.c), ("T", m.T), ("h", DEFAULT_H)):
@@ -244,8 +248,7 @@ def cmd_theory(args) -> int:
     dist = distortion(grid, p)
     path = _out_dir(args) / "theory.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# mu1={p.mu1!r},mu2={p.mu2!r},sigma1_sq={p.sigma1_sq!r},"
-                 f"sigma2_sq={p.sigma2_sq!r},c={p.c!r},T={p.T!r},h={p.h!r},n={p.n}\n")
+        fh.write("# " + ",".join(f"{k}={v!r}" for k, v in asdict(p).items()) + "\n")
         fh.write("t,m,s,lambda,delta,distorted_lambda\n")
         for row in zip(grid, m, s, fin, dist, dist * fin):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -112,16 +112,14 @@ class ThresholdTable:
     Q: float
     per_h_max_quantiles: dict
 
-    def config_dict(self) -> dict:
-        return {"T": self.T, "alpha": self.alpha, "grid_step": self.grid_step,
-                "h_set": list(self.h_set), "n_sims": self.n_sims, "seed": self.seed}
-
     def cache_key(self) -> str:
         return threshold_cache_key(self.T, self.h_set, self.grid_step,
                                    self.alpha, self.n_sims, self.seed)
 
     def to_json(self) -> str:
-        d = dict(self.config_dict(), Q=self.Q, version=TABLE_VERSION,
+        # json.dumps(sort_keys=True) orders float keys numerically before it
+        # converts them, so the quantiles are keyed by their sorted repr here
+        d = dict(asdict(self), version=TABLE_VERSION,
                  per_h_max_quantiles={repr(h): q for h, q in
                                       sorted(self.per_h_max_quantiles.items())})
         return json.dumps(d, sort_keys=True, indent=2)
@@ -162,6 +160,9 @@ class ThresholdTable:
                     per_h_max_quantiles=field("per_h_max_quantiles", lambda v: {
                         float(h): float(q) for h, q in v.items()}))
         require(math.isfinite(table.Q), "Q", f"must be finite, got {table.Q}")
+        for name in ("T", "grid_step"):
+            value = getattr(table, name)
+            require(0.0 < value < math.inf, name, f"must be finite and positive, got {value}")
         require(0.0 < table.alpha < 1.0, "alpha",
                 f"must lie in (0, 1), got {table.alpha}")
         require(table.n_sims >= 100, "n_sims",
@@ -233,9 +234,7 @@ class DetectionResult:
             "reject": self.reject,
             "Q": self.Q,
             "global_max": self.global_max,
-            "change_points": [
-                {"location": cp.location, "h": cp.h, "value": cp.value}
-                for cp in self.change_points],
+            "change_points": [cp._asdict() for cp in self.change_points],
         }
         if series_paths is not None:
             d["series"] = {repr(h): str(series_paths[h]) for h in sorted(series_paths)}

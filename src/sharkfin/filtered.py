@@ -34,19 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .renewal import EventSequence, WindowConfig, ChangePointModel
-from .series import StatisticSeries, read_series_csv, write_series_csv
+from .series import StatisticSeries
 from .theory import TheoryParams, m_function, s_function
 
 __all__ = [
     "WindowEstimateSeries",
-    "StatisticSeries",
     "s_hat",
     "window_estimate_series",
     "D_process",
     "G_process",
     "Gamma_process",
-    "read_series_csv",
-    "write_series_csv",
 ]
 
 _EDGE_TOL = 1e-9

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -146,16 +146,7 @@ class LabReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "n_levels": list(self.n_levels),
-            "metrics": self.metrics,
-            "thresholds": self.thresholds,
-            "passed": self.passed,
-            "notes": list(self.notes),
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

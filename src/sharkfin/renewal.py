@@ -24,7 +24,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -170,14 +170,7 @@ class RenewalSpec:
         return out
 
     def to_dict(self) -> dict:
-        d = {"family": self.family, "mu": self.mu, "sigma2": self.sigma2}
-        if self.shape is not None:
-            d["shape"] = self.shape
-        if self.rate is not None:
-            d["rate"] = self.rate
-        if self.sampler_id is not None:
-            d["sampler_id"] = self.sampler_id
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,7 @@ class ChangePointModel:
             raise ValueError(f"scale n must be a positive integer, got {self.n}")
 
     def with_scale(self, n: int) -> "ChangePointModel":
-        return ChangePointModel(self.phi1, self.phi2, self.c, self.T, int(n))
+        return replace(self, n=int(n))
 
     def to_dict(self) -> dict:
         return {"phi1": self.phi1.to_dict(), "phi2": self.phi2.to_dict(),

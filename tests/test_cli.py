@@ -52,6 +52,18 @@ def test_simulate_deterministic_rerun(tmp_path):
     assert sidecar["c"] == 500 and sidecar["seed"] == 7
 
 
+# sha256 of model.json for a plain and a compound simulate run
+@pytest.mark.parametrize("change, digest", [
+    ((), "84d6c18104ca913dee83307a00236c13a94a075bd16f46edc1d3354f478d880d"),
+    (("--p2", 1, "--l2", 20, "--c", 500, "--n", 2),
+     "1f9ab15046d5303b987fd501a2aafdce8f49c066a09d555deb21745b07c0b890"),
+], ids=["plain", "compound"])
+def test_simulate_model_json_bytes(tmp_path, change, digest):
+    assert run("simulate", "--p1", 1, "--l1", 1, "--T", 1000, *change, "--seed", 7,
+               "--out-dir", tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
+
+
 def test_simulate_zero_horizon(tmp_path):
     assert run("simulate", "--p1", 1, "--l1", 1, "--T", 0,
                "--out-dir", tmp_path) == 0
@@ -310,10 +322,10 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_keys_must_be_flags_of_the_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"workers": 2, "hh": 100}))
+    cfg.write_text(json.dumps({"workers": 2, "hh": 100, "seed": 1}))
     assert run("theory", "--config", cfg, "--out-dir", tmp_path) == 2
     err = capsys.readouterr().err
-    assert "workers" in err and "hh" in err and cfg.name in err
+    assert "workers" in err and "hh" in err and "seed" in err and cfg.name in err
     assert not (tmp_path / "theory.csv").exists()
     # h is a flag of detect and theory, not of simulate
     cfg.write_text(json.dumps({"p1": 1, "l1": 1, "T": 50, "h": 150}))
@@ -371,13 +383,16 @@ def test_non_positive_n_delta_workers_refused_when_parsing(tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "threshold", "detect", "theory",
-                                     "verify"])
-def test_workers_refused_by_commands_that_do_not_read_it(command, capsys):
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--workers") for command in ("simulate", "threshold", "detect", "theory",
+                                             "verify")),
+    ("theory", "--seed"),
+], ids=["simulate", "threshold", "detect", "theory", "verify", "theory_seed"])
+def test_workers_refused_by_commands_that_do_not_read_it(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(command, "--workers", 2)
+        run(command, flag, 2)
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_threshold_and_detect_pool_the_table_of_the_in_process_build(tmp_path, capsys,

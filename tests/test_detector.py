@@ -82,6 +82,9 @@ def test_threshold_golden_values():
     assert table.per_h_max_quantiles == {50.0: 3.7188528441920297,
                                          100.0: 3.4850144817344573,
                                          150.0: 3.3209650430533846}
+    # the table file's bytes: key order, quantile key text and float repr
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == (
+        "f12cf4cc71ffd0f554e8d6505a74736d7cf5bfeb0c1e424ea7ab77215bb62323")
 
 
 def _brownian_paths(rng, n_paths, n_steps, step):
@@ -258,6 +261,12 @@ def test_threshold_table_load_rejects_other_version(tmp_path, version, shown):
     ("per_h_max_quantiles", {"100.0": 3.0}, "differ from h_set"),
     ("per_h_max_quantiles", {"100.0": 3.0, "150.0": float("inf")}, "finite"),
     ("Q", None, "'Q'"),
+    ("T", -1000.0, "T must be finite and positive, got -1000.0"),
+    ("T", float("inf"), "T must be finite and positive, got inf"),
+    ("grid_step", 0.0, "grid_step must be finite and positive, got 0.0"),
+    ("grid_step", -5.0, "grid_step must be finite and positive, got -5.0"),
+    ("grid_step", float("nan"), "grid_step must be finite and positive, got nan"),
+    ("grid_step", 1e309, "grid_step must be finite and positive, got inf"),
 ])
 def test_threshold_table_load_rejects_unusable_fields(tmp_path, field, value,
                                                       message):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import brute_s_hat, brute_window_stats
 from sharkfin import presets
-from sharkfin.filtered import (D_process, G_process, Gamma_process,
-                               read_series_csv, s_hat, window_estimate_series,
-                               write_series_csv)
+from sharkfin.filtered import (D_process, G_process, Gamma_process, s_hat,
+                               window_estimate_series)
 from sharkfin.presets import DISTORTION_A
 from sharkfin.renewal import (ChangePointModel, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal)
-from sharkfin.series import StatisticSeries
+from sharkfin.series import StatisticSeries, read_series_csv, write_series_csv
 from sharkfin.theory import (TheoryParams, distortion, m_function,
                             s_function, shark_fin)
 

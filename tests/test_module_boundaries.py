@@ -1,5 +1,5 @@
 """No sharkfin module reaches a private name of another sharkfin module,
-and none imports a name it never uses."""
+none imports a name it never uses, and none re-exports a name it imports."""
 
 import ast
 from pathlib import Path
@@ -66,8 +66,8 @@ def test_private_reaches_finds_both_forms():
 def unused_imports(source):
     """(line, name) for every name that `source` imports and never reads.
 
-    A name listed in a literal `__all__` counts as used (it is re-exported),
-    and `from __future__` imports bind no name.
+    `from __future__` imports bind no name.  Listing a name in `__all__` is
+    no use of it, since a module may export only the names it defines.
     """
     tree = ast.parse(source)
     imported, used = [], set()
@@ -79,10 +79,6 @@ def unused_imports(source):
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(e.value for e in getattr(node.value, "elts", ())
-                        if isinstance(e, ast.Constant))
     return sorted((line, name) for line, name in imported if name not in used)
 
 
@@ -102,4 +98,39 @@ def test_unused_imports_finds_every_form():
               "    from concurrent.futures import ThreadPoolExecutor\n"
               "    return math.pi\n")
     assert unused_imports(source) == [
-        (2, "os"), (3, "np"), (4, "substream"), (8, "ThreadPoolExecutor")]
+        (2, "os"), (3, "np"), (4, "substream"), (5, "s_function"),
+        (8, "ThreadPoolExecutor")]
+
+
+def foreign_exports(source):
+    """Names in a literal top-level `__all__` that the module does not define:
+    each public name has one home, the module whose own statement binds it."""
+    tree = ast.parse(source)
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names and isinstance(node.value, (ast.List, ast.Tuple)):
+                exported = [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return sorted(name for name in exported if name not in defined)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_exports_only_names_it_defines(path):
+    assert foreign_exports(path.read_text()) == []
+
+
+def test_foreign_exports_finds_imported_names():
+    source = ("from .series import StatisticSeries, write_series_csv\n"
+              "import numpy as np\n"
+              "LIMIT: int = 3\n"
+              "KEY = 'k'\n"
+              "class Table: pass\n"
+              "def load(): return StatisticSeries\n"
+              "__all__ = ['Table', 'load', 'LIMIT', 'KEY', 'np', 'write_series_csv']\n")
+    assert foreign_exports(source) == ["np", "write_series_csv"]
+    assert foreign_exports("from .lab import run\n__all__ = sorted(['run'])\n") == []

@@ -54,6 +54,21 @@ def test_generic_spec_needs_registered_sampler():
     assert np.all(np.diff(seq.events) > 0)
 
 
+@pytest.mark.parametrize("make, items", [
+    (lambda: RenewalSpec.gamma(1 / 20, 1 / 20),
+     [("family", "gamma"), ("mu", 1.0), ("sigma2", 19.999999999999996),
+      ("shape", 0.05), ("rate", 0.05)]),
+    (lambda: RenewalSpec.exponential(2),
+     [("family", "gamma"), ("mu", 0.5), ("sigma2", 0.25), ("shape", 1.0), ("rate", 2)]),
+    (lambda: RenewalSpec.generic("unit_uniform", 1.0, 1.0 / 12.0),
+     [("family", "generic"), ("mu", 1.0), ("sigma2", 0.08333333333333333),
+      ("sampler_id", "unit_uniform")]),
+], ids=["gamma", "exponential", "generic"])
+def test_spec_to_dict_keys_values_and_order(make, items):
+    register_sampler("unit_uniform", lambda rng, size: rng.uniform(0.5, 1.5, size))
+    assert list(make().to_dict().items()) == items
+
+
 @pytest.mark.parametrize("shape,rate", [(1, 1), (0.25, 5), (2, 10)])
 def test_gamma_sample_moments(shape, rate):
     # 1e6 draws: mean within 3 standard errors, variance within 5 relative %
