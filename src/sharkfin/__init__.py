@@ -25,14 +25,14 @@ _EXPORTS = {
                  "s_hat", "window_estimate_series"),
     "lab": ("LabReport", "check_H0_limit", "check_alternative_limit",
             "check_estimator_consistency", "check_window_lln",
-            "check_window_variance_forms", "ks_critical_2samp", "ks_critical_normal",
-            "ks_statistic_2samp", "ks_statistic_normal", "run_verification_suite"),
+            "check_window_variance_forms", "ks_critical_2samp", "ks_statistic_2samp",
+            "run_verification_suite"),
     "presets": ("DISTORTION_A", "DISTORTION_B", "ORIENTATION_MODELS", "SHARK_EAST",
                 "SHARK_EAST_INVERTED", "SHARK_WEST", "SHARK_WEST_INVERTED"),
     "renewal": ("ChangePointModel", "ConfigurationError", "EventSequence", "RenewalSpec",
                 "WindowConfig", "read_event_file", "register_sampler", "simulate_compound",
                 "simulate_renewal", "substream", "write_event_file"),
-    "series": ("StatisticSeries", "read_series_csv", "write_series_csv"),
+    "series": ("StatisticSeries", "write_series_csv"),
     "theory": ("SharkShape", "TheoryParams", "brownian_blocks", "classify_shark",
                "detection_bound", "distortion", "m_function", "mu_le_theory",
                "mu_ri_theory", "normal_cdf", "s_function", "s_tilde", "shark_fin",

@@ -56,15 +56,13 @@ from .presets import DEFAULT_SUITE_SEED, DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig, process_map,
                       simulate_compound, simulate_renewal, substream, worker_count)
 from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
-                     mu_le_theory, mu_ri_theory, normal_cdf, s_function,
-                     shark_fin, sigma2_ri_theory, simulate_L_paths)
+                     mu_le_theory, mu_ri_theory, s_function, shark_fin,
+                     sigma2_ri_theory, simulate_L_paths)
 
 __all__ = [
     "LabReport",
     "ks_statistic_2samp",
-    "ks_statistic_normal",
     "ks_critical_2samp",
-    "ks_critical_normal",
     "check_H0_limit",
     "check_alternative_limit",
     "check_window_lln",
@@ -102,30 +100,10 @@ def ks_statistic_2samp(x, y) -> float:
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
-def ks_statistic_normal(x) -> float:
-    """One-sample KS statistic against the standard normal law."""
-    x = np.sort(np.asarray(x, dtype=float))
-    n = x.size
-    if n == 0:
-        raise ValueError("KS statistic needs a non-empty sample")
-    cdf = normal_cdf(x)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
-
-
-def _ks_scale(alpha: float) -> float:
-    # upper quantile of the Kolmogorov distribution
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0)
-
-
 def ks_critical_2samp(alpha: float, m: int, n: int) -> float:
-    """Asymptotic two-sample critical value at level alpha."""
-    return _ks_scale(alpha) * math.sqrt((m + n) / (m * n))
-
-
-def ks_critical_normal(alpha: float, n: int) -> float:
-    """One-sample critical value with the Stephens finite-sample correction."""
-    return _ks_scale(alpha) / (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
+    """Asymptotic two-sample critical value at level alpha: the upper alpha
+    quantile of the Kolmogorov distribution, scaled."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((m + n) / (m * n))
 
 
 # ---------------------------------------------------------------------------

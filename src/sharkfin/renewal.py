@@ -243,10 +243,6 @@ class EventSequence:
     def __len__(self) -> int:
         return int(self.events.size)
 
-    def life_times(self) -> np.ndarray:
-        """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1, fresh on each call."""
-        return np.diff(self.events, prepend=0.0)
-
     def life_time_square_prefix(self) -> np.ndarray:
         """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1, fresh
         on each call."""
@@ -285,16 +281,6 @@ class EventSequence:
                 a.flags.writeable = False
             self._lattice_cache[key] = lat
         return lat
-
-    def count_at(self, t: float) -> int:
-        """N_t, the number of events in (0, t]."""
-        return int(np.searchsorted(self.events, t, side="right"))
-
-    def count_in(self, a: float, b: float) -> int:
-        """Number of events in the half-open interval (a, b]."""
-        if a > b:
-            raise ValueError(f"need a <= b, got ({a}, {b})")
-        return self.count_at(b) - self.count_at(a)
 
 
 def _trusted_sequence(events: np.ndarray, horizon: float) -> EventSequence:
@@ -337,8 +323,8 @@ class ChangePointModel:
         return replace(self, n=int(n))
 
     def to_dict(self) -> dict:
-        return {"phi1": self.phi1.to_dict(), "phi2": self.phi2.to_dict(),
-                "c": self.c, "T": self.T, "n": int(self.n)}
+        return {**asdict(self), "phi1": self.phi1.to_dict(),
+                "phi2": self.phi2.to_dict(), "n": int(self.n)}
 
 
 def _skip_count(spec: RenewalSpec, lo: float) -> int:

@@ -1,13 +1,12 @@
-"""Statistic sample paths on an analysis grid, with CSV round-tripping."""
+"""Statistic sample paths on an analysis grid, and their CSV writer."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StatisticSeries", "write_series_csv", "read_series_csv"]
+__all__ = ["StatisticSeries", "write_series_csv"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,33 +60,3 @@ def write_series_csv(path, series: StatisticSeries) -> None:
         for t, v, ok in zip(series.grid, series.values, series.valid):
             fh.write(f"{float(t)!r},{float(v)!r},{int(ok)}\n")
 
-
-def read_series_csv(path) -> StatisticSeries:
-    meta = {}
-    grid, values, valid = [], [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            try:
-                if line.startswith("#"):
-                    for part in line[1:].split(","):
-                        if "=" in part:
-                            k, v = part.split("=", 1)
-                            meta[k.strip()] = float(v)
-                elif line and not line.startswith("t,"):
-                    fields = line.split(",")
-                    if len(fields) != 3:
-                        raise ValueError("expected t,value,valid")
-                    grid.append(float(fields[0]))
-                    values.append(float(fields[1]))
-                    valid.append(bool(int(fields[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    for key in ("h", "n", "delta"):
-        if key not in meta:
-            raise ValueError(f"{path}: missing {key!r} in metadata line")
-    if not (math.isfinite(meta["n"]) and meta["n"] == int(meta["n"])):
-        raise ValueError(f"{path}: scale n must be an integer, got {meta['n']}")
-    return StatisticSeries(grid=np.asarray(grid), values=np.asarray(values),
-                           valid=np.asarray(valid, dtype=bool), h=meta["h"],
-                           n=int(meta["n"]), grid_step=meta["delta"])

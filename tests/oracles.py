@@ -1,14 +1,26 @@
-"""Definition-level oracles of the window estimators.
+"""Definition-level oracles that the tests compare the package with.
 
-They follow the definitions in `sharkfin.filtered` one window at a time,
-with plain Python loops and sums, and share no code with the prefix-sum
-arithmetic of `window_estimate_series` that the tests compare them with.
+The window-estimator oracles follow the definitions in `sharkfin.filtered`
+one window at a time, with plain Python loops and sums, and share no code
+with the prefix-sum arithmetic of `window_estimate_series`.  The others
+state a count, the life times, a one-sample KS test and the closed-form
+law of the null maximum straight from their definitions.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+
+
+def brute_count(events, a, b):
+    """Number of events in the half-open interval (a, b]."""
+    return sum(1 for s in events if a < s <= b)
+
+
+def life_times(events):
+    """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1."""
+    return np.diff(events, prepend=0.0)
 
 
 class BruteWindow(NamedTuple):
@@ -71,3 +83,53 @@ def brute_L_covariance(p, step, t, u):
     var_u = sum(g_sq(i) for i in su)
     cross = sum(st[i] * su[i] * g_sq(i) for i in st if i in su)
     return cross / math.sqrt(var_t * var_u)
+
+
+def _normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _normal_pdf(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def ks_statistic_normal(x):
+    """One-sample KS statistic of the sample x against the standard normal law."""
+    cdf = [_normal_cdf(v) for v in sorted(map(float, x))]
+    n = len(cdf)
+    return max(max((i + 1) / n - c, c - i / n) for i, c in enumerate(cdf))
+
+
+def ks_critical_normal(alpha, n):
+    """One-sample KS critical value at level alpha, with Stephens'
+    finite-sample correction of the Kolmogorov quantile."""
+    return (math.sqrt(-math.log(alpha / 2.0) / 2.0)
+            / (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)))
+
+
+def null_max_tail(u, T, h, delta):
+    """P(max_j |L_j| > u) over the grid nodes of [h, T - h] with step delta,
+    for the null-form limit L of window h.
+
+    Near 0 its correlation is 1 - C|tau| with C = 3/(2h), so Pickands'
+    tail C (T - 2h) u phi(u), doubled for |L|, applies; Siegmund's factor
+    nu(u sqrt(2 C delta)) corrects it for sampling on the grid, and the
+    exponent turns the expected number of upcrossings into a probability.
+    """
+    C = 3.0 / (2.0 * h)
+    x = u * math.sqrt(2.0 * C * delta)
+    nu = (2.0 / x) * (_normal_cdf(x / 2) - 0.5) / ((x / 2) * _normal_cdf(x / 2)
+                                                     + _normal_pdf(x / 2))
+    return 1.0 - math.exp(-2.0 * C * (T - 2.0 * h) * u * _normal_pdf(u) * nu)
+
+
+def null_max_quantile(T, h, delta, alpha):
+    """The u with null_max_tail(u, T, h, delta) = alpha, by bisection."""
+    lo, hi = 1.0, 10.0   # the tail decreases in u over this bracket
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if null_max_tail(mid, T, h, delta) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

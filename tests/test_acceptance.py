@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from geometry import check_fin_geometry
+from oracles import ks_critical_normal, ks_statistic_normal
 from sharkfin.detector import detect, simulate_threshold
 from sharkfin.filtered import window_estimate_series
 from sharkfin.lab import (check_estimator_consistency,
                           check_window_variance_forms, ks_critical_2samp,
-                          ks_critical_normal, ks_statistic_2samp,
-                          ks_statistic_normal)
+                          ks_statistic_2samp)
 from sharkfin.presets import (DISTORTION_A, DISTORTION_B, ORIENTATION_MODELS,
                               SHARK_WEST)
 from sharkfin.renewal import (RenewalSpec, WindowConfig, simulate_compound,

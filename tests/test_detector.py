@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import null_max_quantile, null_max_tail
 from sharkfin import detector
 from sharkfin.detector import (TABLE_VERSION, ThresholdTable, _h0_block, detect,
                                estimate_change_points, merge_across_windows,
@@ -85,6 +86,24 @@ def test_threshold_golden_values():
     # the table file's bytes: key order, quantile key text and float repr
     assert hashlib.sha256(table.to_json().encode()).hexdigest() == (
         "f12cf4cc71ffd0f554e8d6505a74736d7cf5bfeb0c1e424ea7ab77215bb62323")
+
+
+def test_threshold_per_h_quantiles_match_closed_form():
+    """The law of the kernel's per-window maxima, not its bytes.
+
+    Band, fixed before the first run: 4 standard errors of an empirical
+    quantile, sqrt(alpha (1 - alpha) / n_sims) over the closed-form density
+    of max |L| at the quantile, plus 0.015 for the approximation itself
+    (it sat within -0.006 .. +0.011 of quantiles from 10^5 paths).
+    """
+    T, delta, alpha, n_sims = 1000.0, 1.0, 0.05, 20000
+    table = simulate_threshold(T, (50.0, 150.0), delta, alpha, n_sims, seed=2014)
+    for h, q in table.per_h_max_quantiles.items():
+        u = null_max_quantile(T, h, delta, alpha)
+        density = (null_max_tail(u - 1e-4, T, h, delta)
+                   - null_max_tail(u + 1e-4, T, h, delta)) / 2e-4
+        se = math.sqrt(alpha * (1.0 - alpha) / n_sims) / density
+        assert abs(q - u) <= 4.0 * se + 0.015, (h, q, u, se)
 
 
 def _brownian_paths(rng, n_paths, n_steps, step):

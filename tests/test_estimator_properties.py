@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_s_hat, brute_window_stats
+from oracles import brute_s_hat, brute_window_stats, life_times
 from sharkfin.detector import ThresholdTable, detect
 from sharkfin.filtered import window_estimate_series
 from sharkfin.presets import SHARK_EAST, SHARK_WEST
@@ -29,7 +29,7 @@ STEP = 0.25   # dyadic, so grid nodes and window edges n*(t +- h) are exact
 
 def old_square_prefix(seq):
     """The expression the one-buffer prefix replaced."""
-    xi = seq.life_times()
+    xi = life_times(seq.events)
     return np.concatenate(([0.0], np.cumsum(xi * xi)))
 
 
@@ -79,7 +79,7 @@ def check_against_oracle(seq, h, n):
                  est.count_right[j], est.mean_right[j], est.var_right[j], (t, t + h)),
                 ("left", brute_window_stats(seq.events, n * (t - h), n * t),
                  est.count_left[j], est.mean_left[j], est.var_left[j], (t - h, t))):
-            lo, hi = seq.count_at(n * a), seq.count_at(n * b)
+            lo, hi = np.searchsorted(seq.events, [n * a, n * b], side="right")
             assert count == ws.count == hi - lo, (side, t)
             m_rtol, v_atol = estimate_tolerances(seq, lo, hi)
             if ws.count <= 1:

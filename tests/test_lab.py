@@ -10,13 +10,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import ks_critical_normal, ks_statistic_normal
 from sharkfin import lab
 from sharkfin.filtered import window_estimate_series
 from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           check_estimator_consistency, check_window_lln,
                           check_window_variance_forms, ks_critical_2samp,
-                          ks_critical_normal, ks_statistic_2samp,
-                          ks_statistic_normal, run_verification_suite)
+                          ks_statistic_2samp, run_verification_suite)
 from sharkfin.presets import DISTORTION_A, DISTORTION_B, SHARK_WEST
 from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
                               process_map, simulate_compound, simulate_renewal,
@@ -48,6 +48,7 @@ def test_ks_2samp_matches_bruteforce():
 
 
 def test_ks_normal_statistic():
+    # the one-sample oracle that acceptance 7 reads, against mpmath
     x = np.array([-1.0, 0.0, 1.0])
     cdf = [float(mpmath.ncdf(v)) for v in np.sort(x)]
     expected = max(max((i + 1) / 3 - c for i, c in enumerate(cdf)),

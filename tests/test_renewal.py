@@ -11,16 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_count, life_times
 from sharkfin import renewal
 from sharkfin.renewal import (_ALIGN_RTOL, ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
                               process_map, read_event_file, register_sampler,
                               simulate_compound, simulate_renewal, substream,
                               write_event_file)
-
-
-def brute_count(events, a, b):
-    return sum(1 for s in events if a < s <= b)
 
 
 # ---------------------------------------------------------------------------
@@ -104,38 +101,6 @@ def test_event_sequence_copies_a_writable_array_and_shares_a_read_only_one():
     assert EventSequence(seq.events, 5.0).events is seq.events
 
 
-def test_count_in_hand_cases():
-    empty = EventSequence(np.empty(0), 10.0)
-    assert empty.count_in(0, 10) == 0
-    seq = EventSequence(np.array([1.0, 2.0, 3.0, 4.0]), 4.0)
-    assert seq.count_in(1, 3) == 2      # left edge open: event at 1 excluded
-    assert seq.count_in(0, 4) == 4
-    with pytest.raises(ValueError):
-        seq.count_in(3, 1)
-
-
-def test_count_in_additivity_property():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        seq = simulate_renewal(RenewalSpec.gamma(1, 2), 50.0, seed=int(rng.integers(1e6)))
-        a, b, c = np.sort(rng.uniform(0, 50, 3))
-        assert seq.count_in(a, b) + seq.count_in(b, c) == seq.count_in(a, c)
-        assert seq.count_in(a, c) == brute_count(seq.events, a, c)
-
-
-def test_life_times_hand_cases():
-    assert np.array_equal(
-        EventSequence(np.array([1.0, 2.0, 3.0]), 3.0).life_times(), [1.0, 1.0, 1.0])
-    assert np.allclose(
-        EventSequence(np.array([0.5, 2.5, 3.0]), 3.0).life_times(), [0.5, 2.0, 0.5])
-    assert EventSequence(np.empty(0), 1.0).life_times().size == 0
-
-
-def test_life_times_cumsum_roundtrip():
-    seq = simulate_renewal(RenewalSpec.gamma(2, 3), 100.0, seed=8)
-    assert np.allclose(np.cumsum(seq.life_times()), seq.events)
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -153,7 +118,7 @@ def test_simulate_rate_matches_spec():
 
 def test_simulate_life_time_mean_lln():
     seq = simulate_renewal(RenewalSpec.gamma(2, 10), 1e5, seed=13)
-    assert abs(seq.life_times().mean() - 0.2) < 0.005
+    assert abs(life_times(seq.events).mean() - 0.2) < 0.005
 
 
 @pytest.mark.parametrize("spec", [RenewalSpec.gamma(1, 1),
@@ -172,8 +137,8 @@ def test_compound_restriction_boundaries():
                              c=500.0, T=1000.0)
     seq = simulate_compound(model, seed=110)
     # segment counts near rate * length (5 relative %)
-    left = seq.count_in(0, 500)
-    right = seq.count_in(500, 1000)
+    left = brute_count(seq.events, 0, 500)
+    right = brute_count(seq.events, 500, 1000)
     assert abs(left - 500) / 500 < 0.05
     assert abs(right - 10000) / 10000 < 0.05
 
@@ -199,7 +164,8 @@ def test_identical_specs_compound_looks_stationary():
     counts = []
     for r in range(200):
         seq = simulate_compound(model, seed=55, stream=(r,))
-        counts.append([seq.count_in(0, 500), seq.count_in(500, 1000)])
+        counts.append([brute_count(seq.events, 0, 500),
+                       brute_count(seq.events, 500, 1000)])
     counts = np.array(counts)
     # both halves share rate and variance within Monte Carlo error
     assert abs(counts[:, 0].mean() - counts[:, 1].mean()) < 3 * np.sqrt(500 * 2 / 200)
