@@ -30,7 +30,7 @@ _EXPORTS = {
     "presets": ("DISTORTION_A", "DISTORTION_B", "ORIENTATION_MODELS", "SHARK_EAST",
                 "SHARK_EAST_INVERTED", "SHARK_WEST", "SHARK_WEST_INVERTED"),
     "renewal": ("ChangePointModel", "ConfigurationError", "EventSequence", "RenewalSpec",
-                "WindowConfig", "read_event_file", "register_sampler", "simulate_compound",
+                "WindowConfig", "read_event_file", "simulate_compound",
                 "simulate_renewal", "substream", "write_event_file"),
     "series": ("StatisticSeries", "write_series_csv"),
     "theory": ("SharkShape", "TheoryParams", "brownian_blocks", "classify_shark",

@@ -99,9 +99,11 @@ def _half_windows(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, totsq: np.ndarr
 
 
 def _scaling_term(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """One window's share var/mean^3 of s_hat^2/(n h); 0 where mean or var is 0."""
-    ok = (mean > 0.0) & (var > 0.0)
-    return np.where(ok, var / np.where(ok, mean, 1.0) ** 3, 0.0)
+    """One window's share var/mean^3 of s_hat^2/(n h); 0 where var or mean^3
+    is 0, the latter also where a tiny mean's cube underflows."""
+    cube = mean**3
+    ok = (cube > 0.0) & (var > 0.0)
+    return np.where(ok, var / np.where(ok, cube, 1.0), 0.0)
 
 
 def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,

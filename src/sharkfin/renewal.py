@@ -24,9 +24,9 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "substream",
     "worker_count",
     "process_map",
-    "register_sampler",
     "simulate_renewal",
     "simulate_compound",
     "write_event_file",
@@ -100,68 +99,43 @@ def process_map(workers: int):
 # life-time distributions
 
 
-_SAMPLERS: dict[str, Callable[[np.random.Generator, int], np.ndarray]] = {}
-
-
-def register_sampler(name: str, fn: Callable[[np.random.Generator, int], np.ndarray]) -> None:
-    """Register a custom life-time sampler usable via RenewalSpec.generic."""
-    _SAMPLERS[name] = fn
-
-
 @dataclass(frozen=True)
 class RenewalSpec:
-    """Life-time law of a renewal process.
+    """Gamma life-time law of a renewal process: shape p, rate lam.
 
-    mu and sigma2 are the mean and variance of one life time; for the
-    gamma family (shape p, rate lam) they are p/lam and p/lam**2.
+    mu and sigma2, the mean p/lam and variance p/lam**2 of one life time,
+    are derived from shape and rate, so they always agree with the draws.
     """
 
-    family: str  # "gamma" | "generic"
-    mu: float
-    sigma2: float
-    shape: Optional[float] = None
-    rate: Optional[float] = None
-    sampler_id: Optional[str] = None
+    mu: float = field(init=False)
+    sigma2: float = field(init=False)
+    shape: float
+    rate: float
 
     def __post_init__(self):
-        if self.family not in ("gamma", "generic"):
-            raise ValueError(f"unknown life-time family {self.family!r}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"life-time mean must be positive, got {self.mu}")
-        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
-            raise ValueError(f"life-time variance must be positive, got {self.sigma2}")
-        if self.family == "gamma":
-            if not (self.shape and self.rate and self.shape > 0 and self.rate > 0):
-                raise ValueError("gamma life times need positive shape and rate")
-            if not (math.isclose(self.mu, self.shape / self.rate, rel_tol=1e-12)
-                    and math.isclose(self.sigma2, self.shape / self.rate**2, rel_tol=1e-12)):
-                raise ValueError("gamma moments must equal shape/rate and shape/rate**2")
-        if self.family == "generic" and not self.sampler_id:
-            raise ValueError("generic life times need a registered sampler_id")
+        try:
+            mu, sigma2 = self.shape / self.rate, self.shape / self.rate**2
+        except (ZeroDivisionError, OverflowError):  # rate 0, or rate**2 out of range
+            mu = sigma2 = math.nan
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma2", sigma2)
+        if not all(x > 0 and math.isfinite(x) for x in (self.shape, self.rate, mu, sigma2)):
+            raise ValueError(f"gamma shape, rate and moments must be finite and positive, "
+                             f"got shape={self.shape}, rate={self.rate}, mu={mu}, "
+                             f"sigma2={sigma2}")
 
     @classmethod
     def gamma(cls, shape: float, rate: float) -> "RenewalSpec":
-        if shape <= 0 or rate <= 0:
-            raise ValueError(f"gamma shape and rate must be positive, got ({shape}, {rate})")
-        return cls("gamma", shape / rate, shape / rate**2, shape=shape, rate=rate)
+        return cls(shape, rate)
 
     @classmethod
     def exponential(cls, rate: float) -> "RenewalSpec":
         """Exponential life times: the gamma law of shape 1."""
         return cls.gamma(1.0, rate)
 
-    @classmethod
-    def generic(cls, sampler_id: str, mu: float, sigma2: float) -> "RenewalSpec":
-        if sampler_id not in _SAMPLERS:
-            raise ValueError(f"no sampler registered under {sampler_id!r}")
-        return cls("generic", mu, sigma2, sampler_id=sampler_id)
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` i.i.d. life times."""
-        if self.family == "gamma":
-            out = rng.gamma(self.shape, 1.0 / self.rate, size)
-        else:
-            out = np.asarray(_SAMPLERS[self.sampler_id](rng, size), dtype=float)
+        out = rng.gamma(self.shape, 1.0 / self.rate, size)
         # exact zeros are measure-zero artifacts of float underflow; redraw them
         bad = np.flatnonzero(out <= 0.0)
         while bad.size:
@@ -170,7 +144,7 @@ class RenewalSpec:
         return out
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {"family": "gamma", **asdict(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +332,19 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     drawn, and only if a tie is possible there (see _may_tie); the
     result is the part in (lo, hi].
 
-    For gamma life times with lo > 0, the first K = _skip_count(spec, lo)
-    renewals are skipped: S_K, a sum of K i.i.d. Gamma(p, rate) life
-    times, is drawn in one call as Gamma(K*p, rate), which is exact in
-    law.  If S_K > lo, the partial sums S_1..S_K are rebuilt given S_K, as
-    S_K times the normalised cumulative sums of K Gamma(p, 1) draws (a
-    Dirichlet bridge).  Generic samplers and lo = 0 draw the full path,
-    so their streams are those of a plain simulation.
+    For lo > 0, the first K = _skip_count(spec, lo) renewals are skipped:
+    S_K, a sum of K i.i.d. Gamma(p, rate) life times, is drawn in one
+    call as Gamma(K*p, rate), which is exact in law.  If S_K > lo, the
+    partial sums S_1..S_K are rebuilt given S_K, as S_K times the
+    normalised cumulative sums of K Gamma(p, 1) draws (a Dirichlet
+    bridge).  lo = 0 draws the full path, so its stream is that of a
+    plain simulation.
     """
     if hi <= lo:
         return np.empty(0)
     start = 0.0
     parts = []
-    k = _skip_count(spec, lo) if lo > 0 and spec.family == "gamma" else 0
+    k = _skip_count(spec, lo) if lo > 0 else 0
     if k:
         start = float(rng.gamma(k * spec.shape, 1.0 / spec.rate))
         if start > lo:
@@ -463,9 +437,7 @@ class WindowConfig:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if not (self.grid_step > 0 and math.isfinite(self.grid_step)):
             raise ValueError(f"grid step must be positive, got {self.grid_step}")
-        hs = tuple(sorted(float(h) for h in (
-            self.h_set if isinstance(self.h_set, (tuple, list, set, frozenset, np.ndarray))
-            else (self.h_set,))))
+        hs = tuple(sorted(float(h) for h in self.h_set))
         if not hs:
             raise ValueError("h_set must not be empty")
         if len(set(hs)) != len(hs):

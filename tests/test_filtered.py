@@ -170,6 +170,18 @@ def test_G_empty_sequence_all_invalid():
     assert g.max_abs() == 0.0
 
 
+def test_window_whose_mean_cube_underflows_contributes_nothing():
+    # the left half of t = 1 has mean life time 2e-120, whose cube underflows
+    # to 0, so it counts as a zero mean; the right half holds one event
+    seq = EventSequence(np.array([1e-120, 2e-120, 4e-120, 7e-120, 2.0, 2.5, 3.0]), 4.0)
+    est = window_estimate_series(seq, [1.0], 1.0)
+    assert est.mean_left[0] == 2e-120 and est.var_left[0] > 0.0
+    assert est.s_hat.tolist() == [0.0]
+    g = G_process(seq, WindowConfig(4.0, (1.0,), 1.0), 1.0, 1)
+    assert g.grid.tolist() == [1.0, 2.0, 3.0]
+    assert not g.valid.any() and np.all(g.values == 0.0)
+
+
 def test_G_numerator_identity_and_validity_mask():
     seq = simulate_renewal(RenewalSpec.gamma(1, 1), 1000.0, seed=41)
     cfg = WindowConfig(1000.0, (150.0,), 10.0)

@@ -1,6 +1,9 @@
 """The public surface of `import sharkfin`: each name and submodule of the
 package namespace, resolved from its module on every access."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import sharkfin
@@ -20,7 +23,7 @@ PUBLIC = {
     "presets": ["DISTORTION_A", "DISTORTION_B", "ORIENTATION_MODELS", "SHARK_EAST",
                 "SHARK_EAST_INVERTED", "SHARK_WEST", "SHARK_WEST_INVERTED"],
     "renewal": ["ChangePointModel", "ConfigurationError", "EventSequence", "RenewalSpec",
-                "WindowConfig", "read_event_file", "register_sampler", "simulate_compound",
+                "WindowConfig", "read_event_file", "simulate_compound",
                 "simulate_renewal", "substream", "write_event_file"],
     "series": ["StatisticSeries", "write_series_csv"],
     "theory": ["SharkShape", "TheoryParams", "brownian_blocks", "classify_shark",
@@ -29,10 +32,14 @@ PUBLIC = {
                "sigma2_le_theory", "sigma2_ri_theory", "simulate_L_paths"],
 }
 NAMES = {*PUBLIC, *(name for names in PUBLIC.values() for name in names)}
+# objects of the paper exported for users, which no code of the package calls
+UNCALLED_PAPER_OBJECTS = {"D_process", "Gamma_process", "classify_shark",
+                          "detection_bound", "ORIENTATION_MODELS"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_are_the_modules_objects():
-    assert len(NAMES) == 66
+    assert len(NAMES) == 65
     for module_name, names in PUBLIC.items():
         module = getattr(sharkfin, module_name)
         assert module.__name__ == f"sharkfin.{module_name}"
@@ -41,11 +48,36 @@ def test_public_names_are_the_modules_objects():
 
 
 def test_dir_all_and_star_import_list_every_public_name():
-    assert set(sharkfin.__all__) == NAMES and len(sharkfin.__all__) == 66
+    assert set(sharkfin.__all__) == NAMES and len(sharkfin.__all__) == 65
     assert NAMES <= set(dir(sharkfin))
     namespace = {}
     exec("from sharkfin import *", namespace)
     assert set(namespace) - {"__builtins__"} == NAMES
+
+
+def referenced_names(path):
+    """Names a file reads as a name or an attribute, outside the top-level
+    def or class that binds each, and the modules it imports from; the
+    strings of `__all__` and `_EXPORTS` are no reference."""
+    found = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.rpartition(".")[2])
+        found |= names - {getattr(stmt, "name", None)}
+    return found
+
+
+def test_every_public_name_has_a_caller_in_src_or_bench():
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    used = set().union(*map(referenced_names, files))
+    assert UNCALLED_PAPER_OBJECTS <= NAMES
+    assert sorted(NAMES - used - UNCALLED_PAPER_OBJECTS) == []
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

@@ -15,7 +15,7 @@ from oracles import brute_count, life_times
 from sharkfin import renewal
 from sharkfin.renewal import (_ALIGN_RTOL, ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
-                              process_map, read_event_file, register_sampler,
+                              process_map, read_event_file,
                               simulate_compound, simulate_renewal, substream,
                               write_event_file)
 
@@ -30,25 +30,12 @@ def test_gamma_spec_moments_exact():
     assert spec.sigma2 == 0.02
 
 
-@pytest.mark.parametrize("shape,rate", [(0, 1), (1, 0), (-1, 2)])
+# the last three give finite shape and rate but moments out of range
+@pytest.mark.parametrize("shape,rate", [(0, 1), (1, 0), (-1, 2), (1, math.nan),
+                                        (1e300, 1e-10), (1, 1e-200), (1, 1e200)])
 def test_gamma_spec_rejects_nonpositive(shape, rate):
     with pytest.raises(ValueError):
         RenewalSpec.gamma(shape, rate)
-
-
-def test_spec_rejects_inconsistent_gamma_moments():
-    with pytest.raises(ValueError):
-        RenewalSpec("gamma", mu=1.0, sigma2=2.0, shape=1.0, rate=1.0)
-
-
-def test_generic_spec_needs_registered_sampler():
-    with pytest.raises(ValueError):
-        RenewalSpec.generic("nowhere", 1.0, 1.0)
-    register_sampler("unit_uniform", lambda rng, size: rng.uniform(0.5, 1.5, size))
-    spec = RenewalSpec.generic("unit_uniform", 1.0, 1.0 / 12.0)
-    seq = simulate_renewal(spec, 200.0, seed=5)
-    assert len(seq) > 150
-    assert np.all(np.diff(seq.events) > 0)
 
 
 @pytest.mark.parametrize("make, items", [
@@ -57,12 +44,8 @@ def test_generic_spec_needs_registered_sampler():
       ("shape", 0.05), ("rate", 0.05)]),
     (lambda: RenewalSpec.exponential(2),
      [("family", "gamma"), ("mu", 0.5), ("sigma2", 0.25), ("shape", 1.0), ("rate", 2)]),
-    (lambda: RenewalSpec.generic("unit_uniform", 1.0, 1.0 / 12.0),
-     [("family", "generic"), ("mu", 1.0), ("sigma2", 0.08333333333333333),
-      ("sampler_id", "unit_uniform")]),
-], ids=["gamma", "exponential", "generic"])
+], ids=["gamma", "exponential"])
 def test_spec_to_dict_keys_values_and_order(make, items):
-    register_sampler("unit_uniform", lambda rng, size: rng.uniform(0.5, 1.5, size))
     assert list(make().to_dict().items()) == items
 
 
@@ -227,6 +210,8 @@ def test_window_config_validation():
         WindowConfig(1000.0, (), 5.0)
     with pytest.raises(ValueError):
         WindowConfig(1000.0, (100.0, 100.0), 5.0)
+    with pytest.raises(TypeError):
+        WindowConfig(1000.0, 150.0, 5.0)          # h_set is a collection, not one h
 
 
 def test_grid_covers_analysis_region():

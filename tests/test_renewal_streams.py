@@ -2,9 +2,9 @@
 
 The oracles below are the straightforward simulation: draw life times
 from 0, accumulate them, bump ties with a per-tie loop, truncate.  Every
-output except the gamma/exponential second segment of a compound model
-must match them bit for bit; that segment skips ahead exactly in law
-and is compared with the full path by two-sample KS tests.
+output except the second segment of a compound model must match them bit
+for bit; that segment skips ahead exactly in law and is compared with the
+full path by two-sample KS tests.
 """
 
 import math
@@ -19,10 +19,8 @@ from sharkfin import renewal
 from sharkfin.lab import ks_critical_2samp, ks_statistic_2samp
 from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B, SHARK_EAST,
                               SHARK_EAST_INVERTED, SHARK_WEST, SHARK_WEST_INVERTED)
-from sharkfin.renewal import (ChangePointModel, RenewalSpec, register_sampler,
-                              simulate_compound, simulate_renewal, substream)
-
-register_sampler("streams_uniform", lambda rng, size: rng.uniform(0.5, 1.5, size))
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, simulate_compound,
+                              simulate_renewal, substream)
 
 
 def oracle_strict_increase(times):
@@ -63,6 +61,14 @@ def oracle_simulate_compound(model, seed, stream=()):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def overstated_mean(shape, rate, factor=10.0):
+    """Gamma(shape, rate) life times whose declared mean is `factor` times
+    the true one, so every chunk sized from it covers too little time."""
+    spec = RenewalSpec.gamma(shape, rate)
+    object.__setattr__(spec, "mu", factor * spec.mu)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def test_tie_prone_draws_take_the_strictness_pass(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("name", ["gamma_1", "gamma_20", "uniform"])
+@pytest.mark.parametrize("name", ["gamma_1", "gamma_20"])
 def test_skipped_strictness_pass_changes_no_bit(name, monkeypatch):
     spec = RENEWAL_SPECS[name]
     runs = [(lo, hi, seed) for lo, hi in ((0.0, 2000.0), (500.0, 620.0)) for seed in range(3)]
@@ -149,7 +155,6 @@ RENEWAL_SPECS = {
     "gamma_1": RenewalSpec.gamma(1, 1),
     "gamma_20": RenewalSpec.gamma(20, 20),
     "exponential": RenewalSpec.exponential(2.0),
-    "uniform": RenewalSpec.generic("streams_uniform", 1.0, 1.0 / 12.0),
 }
 
 
@@ -174,16 +179,12 @@ def test_simulate_renewal_bit_identical_to_oracle(name, horizon):
         assert same_bits(seq.events, oracle_simulate_renewal(spec, horizon, seed, (4,)))
 
 
-def test_simulate_renewal_bit_identical_when_first_chunk_falls_short():
+def test_simulate_renewal_bit_identical_when_first_chunk_falls_short(monkeypatch):
     # the declared mean is 10x the true one, so the first chunk covers a tenth
-    sizes = []
-
-    def gamma_mean_one(rng, size):
-        sizes.append(size)
-        return rng.gamma(2.0, 0.5, size)
-
-    register_sampler("streams_understated", gamma_mean_one)
-    spec = RenewalSpec.generic("streams_understated", 10.0, 0.5)
+    spec = overstated_mean(2.0, 2.0)
+    sizes, draw = [], RenewalSpec.draw
+    monkeypatch.setattr(RenewalSpec, "draw",
+                        lambda self, rng, size: sizes.append(size) or draw(self, rng, size))
     seq = simulate_renewal(spec, 3000.0, seed=6)
     assert len(sizes) > 2
     assert same_bits(seq.events, oracle_simulate_renewal(spec, 3000.0, 6))
@@ -198,14 +199,6 @@ def test_compound_first_segment_bit_identical(model, n):
     events = simulate_compound(model, seed=12, stream=(n,)).events
     expected = oracle_simulate_compound(model, seed=12, stream=(n,))
     assert same_bits(events[events <= nc], expected[expected <= nc])
-
-
-def test_compound_generic_second_segment_bit_identical():
-    model = ChangePointModel(RenewalSpec.gamma(1 / 20, 1 / 20),
-                             RENEWAL_SPECS["uniform"], c=300.0, T=1000.0, n=2)
-    for seed in range(3):
-        assert same_bits(simulate_compound(model, seed).events,
-                         oracle_simulate_compound(model, seed))
 
 
 def test_compound_change_at_horizon_bit_identical():
@@ -246,15 +239,13 @@ def test_horizon_cut_is_prefix_of_full_run(model, n):
         assert_cut_is_prefix(model.with_scale(n), seed, stream=(n, 5))
 
 
-def test_horizon_cut_is_prefix_for_generic_second_segment():
-    # the second law understates its mean 10x, so both runs draw many
-    # chunks and their chunk sizes differ
-    register_sampler("streams_cut_understated", lambda rng, size: rng.gamma(2.0, 0.05, size))
-    for phi2 in (RENEWAL_SPECS["uniform"],
-                 RenewalSpec.generic("streams_cut_understated", 1.0, 0.05)):
-        model = ChangePointModel(RenewalSpec.gamma(1, 1), phi2, c=500.0, T=1000.0, n=2)
-        for seed in range(2):
-            assert_cut_is_prefix(model, seed)
+def test_horizon_cut_is_prefix_with_differing_chunk_sizes():
+    # the second law overstates its mean 10x, so both runs draw many
+    # chunks after the skip and their chunk sizes differ
+    model = ChangePointModel(RenewalSpec.gamma(1, 1), overstated_mean(2.0, 20.0),
+                             c=500.0, T=1000.0, n=2)
+    for seed in range(2):
+        assert_cut_is_prefix(model, seed)
 
 
 def test_horizon_cut_is_prefix_without_skip():
@@ -267,9 +258,6 @@ def test_horizon_cut_is_prefix_without_skip():
 
 
 PHI2 = DISTORTION_A.phi2
-register_sampler("streams_gamma_full",
-                 lambda rng, size: rng.gamma(PHI2.shape, 1.0 / PHI2.rate, size))
-PHI2_FULL = RenewalSpec.generic("streams_gamma_full", PHI2.mu, PHI2.sigma2)
 LO, HI, H = 500.0, 620.0, 5.0
 REPS = 300
 
@@ -287,7 +275,10 @@ def segment_summaries(spec, seed):
 
 @pytest.fixture(scope="module")
 def full_path_summaries():
-    return segment_summaries(PHI2_FULL, seed=31)
+    # with K = 0 the segment draws every life time from 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(renewal, "_skip_count", lambda spec, lo: 0)
+        return segment_summaries(PHI2, seed=31)
 
 
 def assert_same_law(sample, reference):
