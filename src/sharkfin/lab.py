@@ -25,9 +25,14 @@ sqrt(n*h) while the scaling estimator's fluctuation shrinks like
 1/sqrt(n*h), so their product does not vanish).  That suite therefore
 faces only the final-level KS gate, never a trend requirement.
 
-Every experiment is reproducible bit-exactly from (experiment id, seed);
-probe times are fixed and seed-independent so reports are comparable
-across runs.  Trend criteria always use at least three scales.
+Every experiment is reproducible bit-exactly from (experiment id, seed).
+Probe times are fixed and seed-independent, so reports are comparable
+across runs: h, T/4, T/2, 3T/4 and T-h for the null limit; c-h/2, c and
+c+h/2 for the alternative limit (both clamped to [h, T-h], snapped to the
+grid and compared with n_ref = 4*n_reps limit paths); and c-kh/6 for
+k = 5, ..., 1, inside (c-h, c], for the window-variance forms.  Reports
+record their probes, and n_ref, in `details`.  Trend criteria always use
+at least three scales.
 Change-point replicates that are read only at probe windows are
 simulated up to the last time a window reads; the events there are
 those of the full-horizon run, bit for bit (see `_observed`).
@@ -75,9 +80,11 @@ __all__ = [
 # size the per-step noise allowance of trend criteria.
 _KS_SD = 0.26
 
-# Fixed settings of the checks: grid step h/30, KS levels of the null and
-# alternative limits, variance-form match and final scaling-ratio error.
+# Fixed settings of the checks: grid step h/30, limit reference paths per
+# replicate, KS levels of the null and alternative limits, variance-form
+# match and final scaling-ratio error.
 _STEPS_PER_WINDOW = 30
+_REF_PER_REPLICATE = 4
 _H0_ALPHA = 0.05
 _ALTERNATIVE_ALPHA = 0.01
 _VARIANCE_REL_TOL = 0.02
@@ -308,7 +315,7 @@ def _h0_row(spec, T, h, probes, scale_count, seed, li, n, r) -> np.ndarray:
 
 
 def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
-                   seed: int, probes=None, n_ref: int | None = None) -> LabReport:
+                   seed: int) -> LabReport:
     """Marginals of the known-scaling statistic approach the null limit.
 
     At each scale, two-sample KS distances between statistic marginals
@@ -322,9 +329,8 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
         report.notes.append(f"insufficient replicates (n_reps={n_reps}); "
                             "no distribution comparison possible")
         return report
-    probes = _snap_probes(cfg, h, [h, T / 4, T / 2, 3 * T / 4, T - h]
-                          if probes is None else probes)
-    n_ref = 4 * n_reps if n_ref is None else n_ref
+    probes = _snap_probes(cfg, h, [h, T / 4, T / 2, 3 * T / 4, T - h])
+    n_ref = _REF_PER_REPLICATE * n_reps
 
     ref = _h0_probe_samples(cfg, h, probes, n_ref, seed, stream=(90,))
     scale_count = math.sqrt(2.0 * h * spec.sigma2 / spec.mu**3)
@@ -359,8 +365,7 @@ def _alternative_row(observed, p1, probes, h, delta_t, seed, li, n, r) -> np.nda
 
 
 def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
-                            n_reps: int, seed: int, probes=None,
-                            n_ref: int | None = None) -> LabReport:
+                            n_reps: int, seed: int) -> LabReport:
     """Statistic marginals near the change point approach the limit process.
 
     Two suites per probe and scale: the centered known-scaling statistic
@@ -377,9 +382,8 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     if n_reps < 2:
         report.notes.append(f"insufficient replicates (n_reps={n_reps})")
         return report
-    probes = _snap_probes(cfg, h, [model.c - h / 2, model.c, model.c + h / 2]
-                          if probes is None else probes)
-    n_ref = 4 * n_reps if n_ref is None else n_ref
+    probes = _snap_probes(cfg, h, [model.c - h / 2, model.c, model.c + h / 2])
+    n_ref = _REF_PER_REPLICATE * n_reps
 
     grid, ref_paths = simulate_L_paths(cfg, p1, seed, n_ref, stream=(91,))
     ref = ref_paths[:, np.searchsorted(grid, probes)]
@@ -469,7 +473,7 @@ def _variance_row(observed, probes, h, seed, li, n, r) -> np.ndarray:
 
 
 def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
-                                n_reps: int = 1000, probes=None) -> LabReport:
+                                n_reps: int = 1000) -> LabReport:
     """Adjudicate the two readings of the window-variance interpolation.
 
     The replicate-averaged right-window variance estimator at interior
@@ -480,12 +484,8 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     probes.
     """
     report = LabReport("window_variance_forms", seed, [1])
-    c, T = model.c, model.T
-    if probes is None:
-        probes = [c - 5 * h / 6, c - 2 * h / 3, c - h / 2, c - h / 3, c - h / 6]
-    probes = np.asarray(sorted(probes), dtype=float)
-    if np.any(probes <= c - h) or np.any(probes > c):
-        raise ValueError("probes must lie inside the interpolation interval (c-h, c]")
+    c = model.c
+    probes = np.array([c - 5 * h / 6, c - 2 * h / 3, c - h / 2, c - h / 3, c - h / 6])
     p1 = TheoryParams.from_model(model, h, n=1)
     mix = sigma2_ri_theory(probes, p1)
     alt = sigma2_ri_theory(probes, p1, sum_cross_term=True)

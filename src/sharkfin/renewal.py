@@ -128,11 +128,6 @@ class RenewalSpec:
     def gamma(cls, shape: float, rate: float) -> "RenewalSpec":
         return cls(shape, rate)
 
-    @classmethod
-    def exponential(cls, rate: float) -> "RenewalSpec":
-        """Exponential life times: the gamma law of shape 1."""
-        return cls.gamma(1.0, rate)
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` i.i.d. life times."""
         out = rng.gamma(self.shape, 1.0 / self.rate, size)

@@ -32,6 +32,7 @@ each increment weighted by the law in force on its side of c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -118,22 +119,23 @@ class SharkShape(Enum):
     EAST_FIN_INVERTED = "east_fin_inverted"  # m <= 0, s decreasing
 
 
-def _eval(t, fn):
-    """Apply fn to t viewed as a 1-d float array; return scalar for scalar t."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = fn(arr)
-    return float(out[0]) if np.ndim(t) == 0 else out
+def _scalar_or_array(fn):
+    """Run fn on t viewed as a 1-d float array; a scalar t gives a float."""
+    @functools.wraps(fn)
+    def wrapper(t, *args, **kwargs):
+        out = fn(np.atleast_1d(np.asarray(t, dtype=float)), *args, **kwargs)
+        return float(out[0]) if np.ndim(t) == 0 else out
+    return wrapper
 
 
+@_scalar_or_array
 def m_function(t, p: TheoryParams):
     """Expected windowed count difference; a hat over (c-h, c+h), else 0."""
-    def fn(tt):
-        gap = np.abs(tt - p.c)
-        return np.where(gap > p.h, 0.0,
-                        p.n * (1.0 / p.mu2 - 1.0 / p.mu1) * (p.h - gap))
-    return _eval(t, fn)
+    gap = np.abs(t - p.c)
+    return np.where(gap > p.h, 0.0, p.n * (1.0 / p.mu2 - 1.0 / p.mu1) * (p.h - gap))
 
 
+@_scalar_or_array
 def s_function(t, p: TheoryParams):
     """Standard deviation of the windowed count difference.
 
@@ -141,20 +143,17 @@ def s_function(t, p: TheoryParams):
     the variance is linearly interpolated across it.
     """
     r1, r2 = p.ratio1, p.ratio2
-    def fn(tt):
-        var = np.where(
-            np.abs(tt - p.c) <= p.h,
-            p.n * ((tt + p.h - p.c) * r2 + (p.c - (tt - p.h)) * r1),
-            np.where(tt < p.c, 2.0 * p.n * p.h * r1, 2.0 * p.n * p.h * r2))
-        return np.sqrt(var)
-    return _eval(t, fn)
+    var = np.where(
+        np.abs(t - p.c) <= p.h,
+        p.n * ((t + p.h - p.c) * r2 + (p.c - (t - p.h)) * r1),
+        np.where(t < p.c, 2.0 * p.n * p.h * r1, 2.0 * p.n * p.h * r2))
+    return np.sqrt(var)
 
 
+@_scalar_or_array
 def shark_fin(t, p: TheoryParams):
     """Systematic deviation m/s of the statistic; peaks in magnitude at c."""
-    def fn(tt):
-        return np.asarray(m_function(tt, p) / s_function(tt, p))
-    return _eval(t, fn)
+    return m_function(t, p) / s_function(t, p)
 
 
 def classify_shark(p: TheoryParams) -> SharkShape:
@@ -174,6 +173,7 @@ def classify_shark(p: TheoryParams) -> SharkShape:
 # limits of the windowed estimators
 
 
+@_scalar_or_array
 def _window_limit(t, p: TheoryParams, right: bool, first: float, second: float,
                   mix):
     """Limit of a window estimator of the right window (t, t+h] or the left
@@ -184,20 +184,18 @@ def _window_limit(t, p: TheoryParams, right: bool, first: float, second: float,
     counts of the first and second segment inside the window, both
     multiplied by mu1*mu2.
     """
-    def fn(tt):
-        if right:   # straddles c for t in (c-h, c]
-            before, after = tt <= p.c - p.h, tt > p.c
-            a, b = (p.c - tt) * p.mu2, (tt + p.h - p.c) * p.mu1
-        else:       # straddles c for t in (c, c+h)
-            before, after = tt <= p.c, tt >= p.c + p.h
-            a, b = (p.c + p.h - tt) * p.mu2, (tt - p.c) * p.mu1
-        mid = ~(before | after)
-        out = np.empty_like(tt)
-        out[before] = first
-        out[after] = second
-        out[mid] = mix(a[mid], b[mid])
-        return out
-    return _eval(t, fn)
+    if right:   # straddles c for t in (c-h, c]
+        before, after = t <= p.c - p.h, t > p.c
+        a, b = (p.c - t) * p.mu2, (t + p.h - p.c) * p.mu1
+    else:       # straddles c for t in (c, c+h)
+        before, after = t <= p.c, t >= p.c + p.h
+        a, b = (p.c + p.h - t) * p.mu2, (t - p.c) * p.mu1
+    mid = ~(before | after)
+    out = np.empty_like(t)
+    out[before] = first
+    out[after] = second
+    out[mid] = mix(a[mid], b[mid])
+    return out
 
 
 def _harmonic_mean(p: TheoryParams):
@@ -250,15 +248,14 @@ def sigma2_le_theory(t, p: TheoryParams):
                          lambda a, b: _mixture_var(a, b, p, False))
 
 
+@_scalar_or_array
 def s_tilde(t, p: TheoryParams):
     """Deterministic limit of the estimated scaling s_hat."""
-    def fn(tt):
-        return np.sqrt((sigma2_ri_theory(tt, p) / mu_ri_theory(tt, p) ** 3
-                        + sigma2_le_theory(tt, p) / mu_le_theory(tt, p) ** 3)
-                       * p.n * p.h)
-    return _eval(t, fn)
+    return np.sqrt((sigma2_ri_theory(t, p) / mu_ri_theory(t, p) ** 3
+                    + sigma2_le_theory(t, p) / mu_le_theory(t, p) ** 3) * p.n * p.h)
 
 
+@_scalar_or_array
 def distortion(t, p: TheoryParams):
     """Multiplicative estimation error s/s_tilde near the change point.
 
@@ -266,9 +263,7 @@ def distortion(t, p: TheoryParams):
     where the two window halves each see a single population.
     """
     p1 = p.at_scale(1)
-    def fn(tt):
-        return np.asarray(s_function(tt, p1) / s_tilde(tt, p1))
-    return _eval(t, fn)
+    return s_function(t, p1) / s_tilde(t, p1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +273,14 @@ def distortion(t, p: TheoryParams):
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
+@_scalar_or_array
 def normal_cdf(x):
     """Standard normal distribution function 0.5*erfc(-x/sqrt(2)).
 
     The erfc form keeps its relative accuracy deep in the lower tail.  A
     scalar gives a float, an array a float64 array of the same shape.
     """
-    out = 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
-    return float(out) if np.ndim(x) == 0 else out.astype(float)
+    return (0.5 * _erfc(-x / math.sqrt(2.0))).astype(float)
 
 
 def detection_bound(Q: float, p: TheoryParams) -> float:

@@ -21,8 +21,8 @@ from sharkfin.lab import (check_estimator_consistency,
                           ks_statistic_2samp)
 from sharkfin.presets import (DISTORTION_A, DISTORTION_B, ORIENTATION_MODELS,
                               SHARK_WEST)
-from sharkfin.renewal import (RenewalSpec, WindowConfig, simulate_compound,
-                              simulate_renewal)
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
+                              simulate_compound, simulate_renewal)
 from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
                              detection_bound, distortion, shark_fin,
                              simulate_L_paths)
@@ -196,3 +196,30 @@ def test_10_distributional_identity():
     crit = ks_critical_2samp(0.01, 500, 2000)
     report(10, "distributional identity", ks < crit,
            f"two-sample KS {ks:.4f} < 1% critical {crit:.4f} at scale n={n}")
+
+
+@pytest.fixture(scope="module")
+def prediction_table():
+    # T=1000, h={150}, delta=5, alpha=0.05, 1e4 null limit paths
+    return simulate_threshold(T, (H,), 5.0, 0.05, 10000, seed=42, workers=1)
+
+
+@pytest.mark.parametrize("phi1, phi2", [
+    (RenewalSpec.gamma(1, 1), RenewalSpec.gamma(1, 1.3)),
+    (RenewalSpec.gamma(4, 4), RenewalSpec.gamma(1 / 4, 0.3125)),
+], ids=["exponential_rate_up", "regular_to_bursty"])
+def test_power_matches_distorted_fin_prediction(prediction_table, phi1, phi2):
+    # G ~ distortion * (fin + L): the power of the test on simulated
+    # sequences matches the exceedance share of max_t |distortion (fin + L)|
+    model = ChangePointModel(phi1, phi2, c=C, T=T)
+    Q = prediction_table.Q
+    emp = np.mean([detect(simulate_compound(model, 2014, stream=(r,)),
+                          T, 1, [H], prediction_table).reject for r in range(600)])
+    p = TheoryParams.from_model(model, H)
+    grid, L = simulate_L_paths(WindowConfig(T, (H,), 5.0), p, 7, 4000)
+    G = distortion(grid, p) * (shark_fin(grid, p) + L)
+    pred = np.mean(np.abs(G).max(axis=1) > Q)
+    band = 4 * math.sqrt(pred * (1 - pred) * (1 / 600 + 1 / 4000))
+    print(f"power {emp:.4f} predicted {pred:.4f} band {band:.4f} "
+          f"(detection bound at c {detection_bound(Q, p):.4f})")
+    assert abs(emp - pred) <= band

@@ -80,7 +80,7 @@ def test_insufficient_replicates_fail_with_note():
 
 
 @pytest.mark.parametrize("check, kwargs", [
-    (check_alternative_limit, dict(n_reps=4, n_ref=8)),
+    (check_alternative_limit, dict(n_reps=4)),
     (check_window_lln, dict(n_reps=1)),
     (check_estimator_consistency, dict(n_reps=1)),
 ], ids=["alternative_limit", "window_lln", "estimator_consistency"])
@@ -181,33 +181,30 @@ def run_cut_and_full(monkeypatch, check, model, *args, **kwargs):
     return cut, full, set(horizons)
 
 
-@pytest.mark.parametrize("model, probes, cut_T", [
-    (DISTORTION_A, None, 725.0),                      # c + h/2 + h
-    (replace(DISTORTION_A, c=502.5), None, 725.0),    # off-grid c, snapped to 500
-    (replace(DISTORTION_A, c=800.0), None, 1000.0),   # c + h/2 clamped to T - h
-    (DISTORTION_B, [200.0, 300.0], 500.0),            # all left of c - h: cut at c
-], ids=["distortion_a", "off_grid_c", "clamped", "left_of_window"])
+@pytest.mark.parametrize("model, cut_T", [
+    (DISTORTION_A, 725.0),                      # c + h/2 + h
+    (replace(DISTORTION_A, c=502.5), 725.0),    # off-grid c, snapped to 500
+    (replace(DISTORTION_A, c=800.0), 1000.0),   # c + h/2 clamped to T - h
+], ids=["distortion_a", "off_grid_c", "clamped"])
 @pytest.mark.parametrize("seed", [2, 11])
-def test_alternative_limit_cut_equals_full_horizon(monkeypatch, model, probes,
-                                                   cut_T, seed):
+def test_alternative_limit_cut_equals_full_horizon(monkeypatch, model, cut_T, seed):
     cut, full, horizons = run_cut_and_full(
         monkeypatch, check_alternative_limit, model, 150.0, (1, 2), n_reps=6,
-        seed=seed, probes=probes, n_ref=12)
+        seed=seed)
     assert horizons == {cut_T}
     assert cut == full
 
 
-@pytest.mark.parametrize("model, probes, cut_T", [
-    (DISTORTION_A, None, 625.0),                      # last probe c - h/6
-    (replace(DISTORTION_A, c=501.3), [400.0, 501.3], 651.3),
-    (replace(DISTORTION_A, c=875.0), None, 1000.0),   # last window ends at T
+@pytest.mark.parametrize("model, cut_T", [
+    (DISTORTION_A, 625.0),                                  # last probe c - h/6
+    (replace(DISTORTION_A, c=501.3), 501.3 - 150.0 / 6 + 150.0),  # c - h/6 + h
+    (replace(DISTORTION_A, c=875.0), 1000.0),               # last window ends at T
 ], ids=["distortion_a", "off_grid_c", "window_at_T"])
 @pytest.mark.parametrize("seed", [2, 11])
-def test_window_variance_forms_cut_equals_full_horizon(monkeypatch, model, probes,
-                                                       cut_T, seed):
+def test_window_variance_forms_cut_equals_full_horizon(monkeypatch, model, cut_T, seed):
     cut, full, horizons = run_cut_and_full(
         monkeypatch, check_window_variance_forms, model, 150.0, seed=seed,
-        n_reps=20, probes=probes)
+        n_reps=20)
     assert horizons == {cut_T}
     assert cut == full
 
@@ -252,12 +249,6 @@ def test_window_variance_forms_smoke():
     assert rep.metrics["max_rel_dev_mixture"][0] < 0.02
     assert rep.metrics["max_rel_dev_sum_variant"][0] > 0.02
     assert len(rep.details["probes"]) == 5
-
-
-def test_window_variance_forms_rejects_bad_probes():
-    with pytest.raises(ValueError):
-        check_window_variance_forms(DISTORTION_A, 150.0, seed=7, n_reps=10,
-                                    probes=[900.0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +351,11 @@ def smoke_suite(monkeypatch, seed, workers):
 
 @pytest.mark.parametrize("seed", [lab.DEFAULT_SUITE_SEED, 7])
 def test_suite_reports_independent_of_pool_size(monkeypatch, seed):
+    # a pool of one is the builtin map (pinned by test_renewal.py::
+    # test_process_map_keeps_input_order_and_leaves_no_worker), the suite
+    # map's default, so a one-worker suite is the direct path compared here
     direct = [r.to_json() for r in direct_smoke_reports(seed)]
-    for workers in (1, 2, 3):
+    for workers in (2, 3):
         suite = [r.to_json() for r in smoke_suite(monkeypatch, seed, workers)]
         assert suite == direct, f"pool size {workers}"
 

@@ -2,6 +2,7 @@
 package namespace, resolved from its module on every access."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,8 @@ NAMES = {*PUBLIC, *(name for names in PUBLIC.values() for name in names)}
 # objects of the paper exported for users, which no code of the package calls
 UNCALLED_PAPER_OBJECTS = {"D_process", "Gamma_process", "classify_shark",
                           "detection_bound", "ORIENTATION_MODELS"}
+# public methods exported for users, which no code of the package calls
+UNCALLED_METHODS = set()
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,11 +76,48 @@ def referenced_names(path):
     return found
 
 
+def caller_files():
+    return [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+
+
 def test_every_public_name_has_a_caller_in_src_or_bench():
-    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
-    used = set().union(*map(referenced_names, files))
+    used = set().union(*map(referenced_names, caller_files()))
     assert UNCALLED_PAPER_OBJECTS <= NAMES
     assert sorted(NAMES - used - UNCALLED_PAPER_OBJECTS) == []
+
+
+def referenced_attributes(path):
+    """Attribute names a file reads as `.name`, outside every def of that name."""
+    found = set()
+
+    def visit(node, defs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = defs | {node.name}
+        elif isinstance(node, ast.Attribute) and node.attr not in defs:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def public_methods():
+    """Each public method, class method, static method or property that a
+    class of the package namespace defines itself, as "Class.name"."""
+    kinds = (types.FunctionType, classmethod, staticmethod, property)
+    return {f"{name}.{attr}"
+            for name in sharkfin.__all__ if isinstance(getattr(sharkfin, name), type)
+            for attr, value in vars(getattr(sharkfin, name)).items()
+            if not attr.startswith("_") and isinstance(value, kinds)}
+
+
+def test_every_public_method_has_a_caller_in_src_or_bench():
+    used = set().union(*map(referenced_attributes, caller_files()))
+    methods = public_methods()
+    assert "RenewalSpec.draw" in methods and UNCALLED_METHODS <= methods
+    assert sorted(m for m in methods - UNCALLED_METHODS
+                  if m.partition(".")[2] not in used) == []
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

@@ -42,7 +42,7 @@ def test_gamma_spec_rejects_nonpositive(shape, rate):
     (lambda: RenewalSpec.gamma(1 / 20, 1 / 20),
      [("family", "gamma"), ("mu", 1.0), ("sigma2", 19.999999999999996),
       ("shape", 0.05), ("rate", 0.05)]),
-    (lambda: RenewalSpec.exponential(2),
+    (lambda: RenewalSpec.gamma(1.0, 2),
      [("family", "gamma"), ("mu", 0.5), ("sigma2", 0.25), ("shape", 1.0), ("rate", 2)]),
 ], ids=["gamma", "exponential"])
 def test_spec_to_dict_keys_values_and_order(make, items):
