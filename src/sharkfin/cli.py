@@ -229,11 +229,10 @@ def cmd_detect(args) -> int:
 
 def cmd_theory(args) -> int:
     from .theory import TheoryParams, distortion, m_function, s_function, shark_fin
-    phi1 = RenewalSpec.gamma(float(args.p1), float(args.l1))
-    phi2 = RenewalSpec.gamma(float(args.p2), float(args.l2))
-    p = TheoryParams(phi1.mu, phi2.mu, phi1.sigma2, phi2.sigma2,
-                     float(args.c), float(args.T), float(args.h), int(args.n))
-    delta = p.h / 50 if args.delta is None else float(args.delta)
+    p = TheoryParams.from_model(ChangePointModel(
+        RenewalSpec.gamma(args.p1, args.l1), RenewalSpec.gamma(args.p2, args.l2),
+        args.c, args.T, args.n), args.h)
+    delta = p.h / 50 if args.delta is None else args.delta
 
     # grid anchored at the change point so the peak node is exact
     lo, hi = p.h, p.T - p.h

@@ -34,7 +34,6 @@ from .series import StatisticSeries
 from .theory import brownian_blocks
 
 __all__ = [
-    "TABLE_VERSION",
     "ThresholdTable",
     "ChangePointEstimate",
     "DetectionResult",

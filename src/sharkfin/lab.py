@@ -5,7 +5,8 @@ reduces it to one metric per scale, and reports pass/fail against fixed,
 recorded thresholds.  Two kinds of criteria appear:
 
 * convergence trends: the metric must decrease across the scales.  For
-  estimator sup-norm errors the decrease is required strictly.  For
+  estimator sup-norm errors, each averaged over a fixed three replicates
+  per scale (recorded as n_reps), the decrease is required strictly.  For
   Kolmogorov-Smirnov distances the two-sample statistic saturates at its
   sampling noise floor once the distributions are close, so the trend is
   judged as a net decrease from first to last scale with per-step
@@ -48,7 +49,6 @@ runs its replicates in-process.
 
 from __future__ import annotations
 
-import json
 import math
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
@@ -57,7 +57,7 @@ from functools import partial
 import numpy as np
 
 from .filtered import window_estimate_series
-from .presets import DEFAULT_SUITE_SEED, DISTORTION_A, DISTORTION_B
+from .presets import DEFAULT_H, DEFAULT_SUITE_SEED, DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig, process_map,
                       simulate_compound, simulate_renewal, substream, worker_count)
 from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
@@ -81,10 +81,12 @@ __all__ = [
 _KS_SD = 0.26
 
 # Fixed settings of the checks: grid step h/30, limit reference paths per
-# replicate, KS levels of the null and alternative limits, variance-form
-# match and final scaling-ratio error.
+# replicate, replicates per scale of the sup-norm checks, KS levels of the
+# null and alternative limits, variance-form match and final scaling-ratio
+# error.
 _STEPS_PER_WINDOW = 30
 _REF_PER_REPLICATE = 4
+_SUP_NORM_REPS = 3
 _H0_ALPHA = 0.05
 _ALTERNATIVE_ALPHA = 0.01
 _VARIANCE_REL_TOL = 0.02
@@ -133,9 +135,6 @@ class LabReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     def summary(self) -> str:
         lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.experiment} "
                  f"(seed {self.seed}, scales {list(self.n_levels)})"]
@@ -149,8 +148,6 @@ class LabReport:
 
 def _net_decrease_ok(values, allowance: float) -> bool:
     """Net decrease first->last with per-step increases within the allowance."""
-    if len(values) < 2:
-        return False
     steps_ok = all(b <= a + allowance for a, b in zip(values, values[1:]))
     return values[-1] < values[0] and steps_ok
 
@@ -272,12 +269,13 @@ def _snap_probes(cfg: WindowConfig, h: float, probes) -> np.ndarray:
 def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePointModel:
     """The model cut at the last time a window (t-h, t+h] around a probe reads.
 
-    The cut keeps (0, c], so the phi1 segment is untouched, and the phi2
-    segment draws from its own substream with a skip-ahead that depends
-    on n*c only.  Chunked draws are prefix-consistent, so the events in
-    (0, n*T'] equal those of the full-horizon simulation bit for bit.
+    Each probe layout of the checks ends its last window after c, so the
+    cut keeps (0, c] and the phi1 segment is untouched; the phi2 segment
+    draws from its own substream with a skip-ahead that depends on n*c
+    only.  Chunked draws are prefix-consistent, so the events in (0, n*T']
+    equal those of the full-horizon simulation bit for bit.
     """
-    return replace(model, T=min(model.T, max(model.c, float(probes.max()) + h)))
+    return replace(model, T=min(model.T, float(probes.max()) + h))
 
 
 def _sup_norm_row(model, h, grid, seed, errors, li, n, r) -> dict:
@@ -286,9 +284,9 @@ def _sup_norm_row(model, h, grid, seed, errors, li, n, r) -> dict:
 
 
 def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
-                    grid: np.ndarray, n_reps: int, seed: int, final_tol: float,
-                    errors) -> bool:
-    """Record, per scale, the replicate mean of each sup-norm error on grid.
+                    grid: np.ndarray, seed: int, final_tol: float, errors) -> bool:
+    """Record, per scale, the mean over _SUP_NORM_REPS replicates of each
+    sup-norm error on grid.
 
     errors(est, n), a partial of a module-level function, maps one
     replicate's window estimates at scale n to {metric name: sup-norm
@@ -296,11 +294,11 @@ def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
     every error decreasing strictly across them.
     """
     row = partial(_sup_norm_row, model, h, grid, seed, errors)
-    for reps in _replicate_rows(row, report.n_levels, n_reps):
+    for reps in _replicate_rows(row, report.n_levels, _SUP_NORM_REPS):
         for name in reps[0]:
             report.metrics.setdefault(name, []).append(
                 float(np.mean([e[name] for e in reps])))
-    report.thresholds = {"final_tol": final_tol, "n_reps": n_reps}
+    report.thresholds = {"final_tol": final_tol, "n_reps": _SUP_NORM_REPS}
     return len(report.n_levels) >= 3 and all(
         _strictly_decreasing(v) for v in report.metrics.values())
 
@@ -418,7 +416,7 @@ def _rate_errors(h, rate_ri, rate_le, est, n) -> dict:
 
 
 def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
-                     n_reps: int = 3, final_tol: float = 0.05) -> LabReport:
+                     final_tol: float = 0.05) -> LabReport:
     """Windowed counts over nh converge uniformly to the local rate limits.
 
     Sup-norm errors over the grid of step h/30 must decrease strictly
@@ -428,7 +426,7 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
     grid = cfg.grid(h)
     errors = partial(_rate_errors, h, 1.0 / mu_ri_theory(grid, p1),
                      1.0 / mu_le_theory(grid, p1))
-    trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, final_tol, errors)
+    trend_ok = _sup_norm_trend(report, model, h, grid, seed, final_tol, errors)
     return _verdict(
         report, trend=(trend_ok, "sup-norm rate error did not decrease across scales"),
         final_level=(all(v[-1] < final_tol for v in report.metrics.values()),
@@ -444,7 +442,7 @@ def _estimator_errors(grid, p1, mu_ri, sig_ri, delta_t, est, n) -> dict:
 
 
 def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
-                                seed: int, n_reps: int = 3) -> LabReport:
+                                seed: int) -> LabReport:
     """Windowed estimators converge to their interpolated limits.
 
     Tracks sup-norm errors over the grid of step h/30 of the right-window
@@ -458,8 +456,7 @@ def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
     grid = cfg.grid(h)
     errors = partial(_estimator_errors, grid, p1, mu_ri_theory(grid, p1),
                      sigma2_ri_theory(grid, p1), distortion(grid, p1))
-    trend_ok = _sup_norm_trend(report, model, h, grid, n_reps, seed, _RATIO_FINAL_TOL,
-                               errors)
+    trend_ok = _sup_norm_trend(report, model, h, grid, seed, _RATIO_FINAL_TOL, errors)
     return _verdict(
         report, trend=(trend_ok, "some sup-norm error did not decrease strictly"),
         final_level=(report.metrics["sup_scaling_ratio_error"][-1] < _RATIO_FINAL_TOL,
@@ -533,7 +530,7 @@ def run_verification_suite(seed: int = DEFAULT_SUITE_SEED,
     if scale not in ("full", "smoke"):
         raise ValueError(f"scale must be 'full' or 'smoke', got {scale!r}")
     full = scale == "full"
-    h = 150.0
+    h = DEFAULT_H
     workers = worker_count()
     with process_map(workers) as pmap:
         token = _SUITE_MAP.set((pmap, workers))

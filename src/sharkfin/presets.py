@@ -12,8 +12,6 @@ from __future__ import annotations
 from .renewal import ChangePointModel, RenewalSpec
 
 __all__ = [
-    "DEFAULT_H",
-    "DEFAULT_SUITE_SEED",
     "SHARK_WEST",
     "SHARK_EAST",
     "SHARK_WEST_INVERTED",

@@ -37,8 +37,6 @@ __all__ = [
     "ChangePointModel",
     "WindowConfig",
     "substream",
-    "worker_count",
-    "process_map",
     "simulate_renewal",
     "simulate_compound",
     "write_event_file",

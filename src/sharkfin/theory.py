@@ -287,14 +287,12 @@ def detection_bound(Q: float, p: TheoryParams) -> float:
     """Lower bound on the probability that max_t of the statistic exceeds Q.
 
     At the change point the statistic is asymptotically normal with unit
-    variance and mean |1/mu2 - 1/mu1| / sqrt(r2 + r1) * sqrt(nh), so the
-    exceedance probability at c alone already bounds the maximum.
+    variance and mean |Lambda_c| = |1/mu2 - 1/mu1| / sqrt(r2 + r1) * sqrt(nh),
+    so the exceedance probability at c alone already bounds the maximum.
     """
     if Q < 0:
         raise ValueError(f"threshold must be non-negative, got {Q}")
-    shift = (abs(1.0 / p.mu2 - 1.0 / p.mu1)
-             / math.sqrt(p.ratio2 + p.ratio1) * math.sqrt(p.n * p.h))
-    return float(1.0 - normal_cdf(Q - shift))
+    return float(1.0 - normal_cdf(Q - abs(shark_fin(p.c, p))))
 
 
 # ---------------------------------------------------------------------------
