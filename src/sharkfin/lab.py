@@ -272,8 +272,9 @@ def _observed(model: ChangePointModel, probes: np.ndarray, h: float) -> ChangePo
     Each probe layout of the checks ends its last window after c, so the
     cut keeps (0, c] and the phi1 segment is untouched; the phi2 segment
     draws from its own substream with a skip-ahead that depends on n*c
-    only.  Chunked draws are prefix-consistent, so the events in (0, n*T']
-    equal those of the full-horizon simulation bit for bit.
+    only.  Chunked draws are prefix-consistent and the tie repair is causal
+    (a time depends on none after it), so the events in (0, n*T'] equal
+    those of the full-horizon simulation bit for bit.
     """
     return replace(model, T=min(model.T, float(probes.max()) + h))
 

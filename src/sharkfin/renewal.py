@@ -131,9 +131,8 @@ class RenewalSpec:
         out = rng.gamma(self.shape, 1.0 / self.rate, size)
         # exact zeros are measure-zero artifacts of float underflow; redraw them
         bad = np.flatnonzero(out <= 0.0)
-        while bad.size:
+        if bad.size:  # the redraw returns no zeros, so one round suffices
             out[bad] = self.draw(rng, bad.size)
-            bad = bad[out[bad] <= 0.0]
         return out
 
     def to_dict(self) -> dict:
@@ -156,9 +155,14 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     returns it.  Such doubles are ordered like their int64 bit patterns,
     and nextafter(x, inf) is the pattern plus one, so the fixed point
     t'[i] = max(t[i], nextafter(t'[i-1], inf)) is a running maximum of
-    bits[i] - i, shifted back by i.
+    bits[i] - i, shifted back by i.  The recurrence is causal and the times
+    before the first tie already are its fixed point, so the maximum starts
+    at the first tie; without a tie, one comparison pass returns the array.
     """
-    bits = times.view(np.int64)
+    tie = times[1:] <= times[:-1]
+    if not tie.any():
+        return times
+    bits = times[int(tie.argmax()):].view(np.int64)
     i = np.arange(bits.size, dtype=np.int64)
     bits -= i
     np.maximum.accumulate(bits, out=bits)
@@ -304,16 +308,6 @@ def _skip_count(spec: RenewalSpec, lo: float) -> int:
     return max(0, math.floor(lo / spec.mu - 8.0 * math.sqrt(lo * spec.sigma2 / spec.mu**3)))
 
 
-def _may_tie(life_times: np.ndarray, hi: float) -> bool:
-    """Whether summing these life times can give a tie at or below hi.
-
-    A sum s + x rounds back to s only if x <= spacing(s)/2, and
-    spacing(s) <= spacing(hi) for s <= hi; so when every life time
-    exceeds spacing(hi), the strictness pass would change nothing.
-    """
-    return bool(life_times.min() <= np.spacing(hi))
-
-
 def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
                     hi: float) -> np.ndarray:
     """Strictly increasing events in (lo, hi] of a renewal process started at 0.
@@ -321,23 +315,23 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     Life times come from rng in chunks and are accumulated in one running
     sum until it passes hi.  The first chunk covers the mean count of
     the span plus six standard deviations, so a second chunk is rare.
-    Strict increase is enforced once, on the times up to hi that were
-    drawn, and only if a tie is possible there (see _may_tie); the
-    result is the part in (lo, hi].
+    Strict increase is enforced on every path, once, on the times up to
+    hi that were drawn (see _enforce_strict_increase); the result is the
+    part in (lo, hi], cut after the repair, since a bump at hi can pass hi.
 
-    For lo > 0, the first K = _skip_count(spec, lo) renewals are skipped:
-    S_K, a sum of K i.i.d. Gamma(p, rate) life times, is drawn in one
-    call as Gamma(K*p, rate), which is exact in law.  If S_K > lo, the
-    partial sums S_1..S_K are rebuilt given S_K, as S_K times the
-    normalised cumulative sums of K Gamma(p, 1) draws (a Dirichlet
-    bridge).  lo = 0 draws the full path, so its stream is that of a
+    The first K = _skip_count(spec, lo) renewals are skipped: S_K, a sum
+    of K i.i.d. Gamma(p, rate) life times, is drawn in one call as
+    Gamma(K*p, rate), which is exact in law.  If S_K > lo, the partial
+    sums S_1..S_K are rebuilt given S_K, as S_K times the normalised
+    cumulative sums of K Gamma(p, 1) draws (a Dirichlet bridge).  K is 0
+    for lo = 0, so that path is drawn in full and its stream is that of a
     plain simulation.
     """
     if hi <= lo:
         return np.empty(0)
     start = 0.0
     parts = []
-    k = _skip_count(spec, lo) if lo > 0 else 0
+    k = _skip_count(spec, lo)
     if k:
         start = float(rng.gamma(k * spec.shape, 1.0 / spec.rate))
         if start > lo:
@@ -346,19 +340,15 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     span = max(hi - start, 0.0)
     chunk = int(span / spec.mu + 6.0 * math.sqrt(span * spec.sigma2 / spec.mu**3)) + 16
     total = start
-    ties = bool(parts)      # the bridge's scaled sums may tie
     while total <= hi:
         xi = spec.draw(rng, chunk)
-        ties = ties or _may_tie(xi, hi)
         xi[0] += total
         np.cumsum(xi, out=xi)
         parts.append(xi)
         total = float(xi[-1])
         chunk = max(chunk // 4, 1024)
     times = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    times = times[:np.searchsorted(times, hi, side="right")]
-    if ties:
-        times = _enforce_strict_increase(times)
+    times = _enforce_strict_increase(times[:np.searchsorted(times, hi, side="right")])
     return times[np.searchsorted(times, lo, side="right"):
                  np.searchsorted(times, hi, side="right")]
 
@@ -374,8 +364,6 @@ def simulate_renewal(spec: RenewalSpec, horizon: float, seed: int,
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
     rng = substream(seed, *stream)
-    if horizon == 0:
-        return _trusted_sequence(np.empty(0), 0.0)
     return _trusted_sequence(_events_between(spec, rng, 0.0, horizon), horizon)
 
 
