@@ -287,7 +287,9 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
+    # ConfigurationError is a ValueError; MemoryError: a grid or path count
+    # too fine for this host's memory
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,20 +110,23 @@ def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
                            n: int = 1) -> WindowEstimateSeries:
     """Evaluate both window halves at every grid node in O(log N) per node.
 
-    Each call builds the O(N) squared life-time prefix: pass all nodes at
-    once.  Serves arbitrary nodes; the statistic processes, whose nodes are
-    the lattice of a `WindowConfig`, read theirs from `_lattice_windows`.
+    Each call sums the squared life-time prefix up to the last window's end
+    in fixed-size blocks (`EventSequence.square_prefix`), O(N) time and no
+    O(N) memory: pass all nodes at once.  Serves arbitrary nodes; the
+    statistic processes, whose nodes are the lattice of a `WindowConfig`,
+    read theirs from `_lattice_windows`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size:
         _check_window(seq, n, grid[0] - h, grid[-1] + h)
     s = seq.events
-    sq = seq.life_time_square_prefix()
     le = np.searchsorted(s, n * (grid - h), side="right")
     mi = np.searchsorted(s, n * grid, side="right")
     ri = np.searchsorted(s, n * (grid + h), side="right")
-    cnt_l, mean_l, var_l = _half_windows(s, le, mi, sq[mi] - sq[np.minimum(le + 1, mi)])
-    cnt_r, mean_r, var_r = _half_windows(s, mi, ri, sq[ri] - sq[np.minimum(mi + 1, ri)])
+    sq_mi, sq_ri, sq_le1, sq_mi1 = seq.square_prefix(
+        np.stack((mi, ri, np.minimum(le + 1, mi), np.minimum(mi + 1, ri))))
+    cnt_l, mean_l, var_l = _half_windows(s, le, mi, sq_mi - sq_le1)
+    cnt_r, mean_r, var_r = _half_windows(s, mi, ri, sq_ri - sq_mi1)
     shat = np.sqrt((_scaling_term(mean_r, var_r) + _scaling_term(mean_l, var_l))
                    * n * h)
     return WindowEstimateSeries(

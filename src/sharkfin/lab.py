@@ -482,6 +482,9 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
     probes.
     """
     report = LabReport("window_variance_forms", seed, [1])
+    if n_reps < 1:
+        report.notes.append(f"insufficient replicates (n_reps={n_reps})")
+        return report
     c = model.c
     probes = np.array([c - 5 * h / 6, c - 2 * h / 3, c - h / 2, c - h / 3, c - h / 6])
     p1 = TheoryParams.from_model(model, h, n=1)

@@ -113,26 +113,35 @@ class RenewalSpec:
     def __post_init__(self):
         try:
             mu, sigma2 = self.shape / self.rate, self.shape / self.rate**2
-        except (ZeroDivisionError, OverflowError):  # rate 0, or rate**2 out of range
-            mu = sigma2 = math.nan
+            # the count-variance rate that sizes every simulation and limit
+            count_rate = sigma2 / mu**3
+        except (ZeroDivisionError, OverflowError):  # rate 0, or a power out of range
+            mu = sigma2 = count_rate = math.nan
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", sigma2)
-        if not all(x > 0 and math.isfinite(x) for x in (self.shape, self.rate, mu, sigma2)):
-            raise ValueError(f"gamma shape, rate and moments must be finite and positive, "
-                             f"got shape={self.shape}, rate={self.rate}, mu={mu}, "
-                             f"sigma2={sigma2}")
+        if not all(x > 0 and math.isfinite(x)
+                   for x in (self.shape, self.rate, mu, sigma2, count_rate)):
+            raise ValueError(f"gamma shape, rate, moments and sigma2/mu**3 must be finite "
+                             f"and positive, got shape={self.shape}, rate={self.rate}, "
+                             f"mu={mu}, sigma2={sigma2}, sigma2/mu**3={count_rate}")
 
     @classmethod
     def gamma(cls, shape: float, rate: float) -> "RenewalSpec":
         return cls(shape, rate)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` i.i.d. life times."""
-        out = rng.gamma(self.shape, 1.0 / self.rate, size)
-        # exact zeros are measure-zero artifacts of float underflow; redraw them
-        bad = np.flatnonzero(out <= 0.0)
-        if bad.size:  # the redraw returns no zeros, so one round suffices
-            out[bad] = self.draw(rng, bad.size)
+    def draw(self, rng: np.random.Generator, size: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Draw `size` i.i.d. life times, into the float array `out` if given.
+
+        Standard gamma draws times 1/rate are the bits of `rng.gamma`.
+        """
+        out = rng.standard_gamma(self.shape, size, out=out)
+        out *= 1.0 / self.rate
+        # exact zeros are measure-zero artifacts of float underflow; redraw
+        # them, and build a mask only when one is there
+        if out.size and out.min() <= 0.0:
+            bad = np.flatnonzero(out <= 0.0)
+            out[bad] = self.draw(rng, bad.size)  # returns no zeros: one round
         return out
 
     def to_dict(self) -> dict:
@@ -141,6 +150,11 @@ class RenewalSpec:
 
 # ---------------------------------------------------------------------------
 # event sequences
+
+
+# Length of the fixed-size blocks in which the tie repair and the squared
+# life-time prefix work, so neither holds a temporary as long as the events.
+_BLOCK = 1 << 14
 
 
 def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
@@ -158,15 +172,27 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
     bits[i] - i, shifted back by i.  The recurrence is causal and the times
     before the first tie already are its fixed point, so the maximum starts
     at the first tie; without a tie, one comparison pass returns the array.
+    Search and maximum run over blocks of _BLOCK times, and each block
+    starts from the recurrence applied to the last repaired time before it.
     """
-    tie = times[1:] <= times[:-1]
-    if not tie.any():
+    for a in range(0, times.size - 1, _BLOCK):
+        b = min(a + _BLOCK, times.size - 1)
+        tie = times[a + 1:b + 1] <= times[a:b]
+        if tie.any():
+            first = a + int(tie.argmax())
+            break
+    else:
         return times
-    bits = times[int(tie.argmax()):].view(np.int64)
-    i = np.arange(bits.size, dtype=np.int64)
-    bits -= i
-    np.maximum.accumulate(bits, out=bits)
-    bits += i
+    bits = times.view(np.int64)
+    i = np.arange(min(_BLOCK, bits.size - first), dtype=np.int64)
+    last = bits[first] - 1
+    for a in range(first, bits.size, _BLOCK):
+        block = bits[a:a + _BLOCK]
+        block -= i[:block.size]
+        block[0] = max(block[0], last + 1)
+        np.maximum.accumulate(block, out=block)
+        block += i[:block.size]
+        last = block[-1]
     return times
 
 
@@ -174,8 +200,8 @@ class Lattice(NamedTuple):
     """Event counts at lattice nodes and the squared life-time prefix there."""
 
     counts: np.ndarray    # N at each node
-    sq: np.ndarray        # life_time_square_prefix()[counts]
-    sq_next: np.ndarray   # life_time_square_prefix()[min(counts + 1, N)]
+    sq: np.ndarray        # square_prefix(counts)
+    sq_next: np.ndarray   # square_prefix(min(counts + 1, N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,19 +240,42 @@ class EventSequence:
     def __len__(self) -> int:
         return int(self.events.size)
 
-    def life_time_square_prefix(self) -> np.ndarray:
-        """Partial sums [0, xi_1^2, xi_1^2 + xi_2^2, ...] of length N+1, fresh
-        on each call."""
-        # one (N+1) buffer: [0, xi_1, ..., xi_N], squared and summed in place,
-        # so this path never materialises the life times themselves
+    def square_prefix(self, counts: np.ndarray) -> np.ndarray:
+        """The sums xi_1^2 + ... + xi_k^2 at the counts k in 0..N, shaped as counts.
+
+        The prefix is summed over blocks of _BLOCK entries up to the largest
+        count, each block's first term plus the sum before it, so every value
+        has the bits of np.cumsum over all N + 1 entries [0, xi_1^2, ...] while
+        no buffer grows with N.
+        """
+        counts = np.asarray(counts)
+        out = np.empty(counts.shape)
+        if not counts.size:
+            return out
+        order = np.argsort(counts, axis=None, kind="stable")
+        wanted = counts.ravel()[order]
+        if wanted[0] < 0 or wanted[-1] > len(self):
+            raise ValueError(f"counts must lie in 0..{len(self)}, got "
+                             f"{wanted[0] if wanted[0] < 0 else wanted[-1]}")
+        out_flat = out.reshape(-1)
         s = self.events
-        out = np.empty(s.size + 1)
-        out[0] = 0.0
-        if s.size:
-            out[1] = s[0]
-            np.subtract(s[1:], s[:-1], out=out[2:])
-        np.multiply(out, out, out=out)
-        np.cumsum(out, out=out)
+        top = int(wanted[-1]) + 1
+        buf = np.empty(min(_BLOCK, top))
+        carry = 0.0
+        j = 0
+        for a in range(0, top, _BLOCK):
+            b = min(a + _BLOCK, top)
+            # times S_{a-2} .. S_{b-1}, with S_{-1} = S_0 = 0 in the first block,
+            # whose differences are the life times xi_a .. xi_{b-1} (xi_0 = 0)
+            times = s[a - 2:b - 1] if a else np.concatenate(([0.0, 0.0], s[:b - 1]))
+            block = np.subtract(times[1:], times[:-1], out=buf[:b - a])
+            np.multiply(block, block, out=block)
+            block[0] += carry
+            np.cumsum(block, out=block)
+            carry = block[-1]
+            k = j + int(np.searchsorted(wanted[j:], b))
+            out_flat[order[j:k]] = block[wanted[j:k] - a]
+            j = k
         return out
 
     @cached_property
@@ -238,16 +287,17 @@ class EventSequence:
 
         Cached read-only per (step, size, n), so the statistic processes of
         every window size over one `WindowConfig` share one search.  The
-        squared life-time prefix is built for the lookup and dropped, so a
-        sequence holds O(size) floats per lattice, not O(N).
+        squared life-time prefix is read from `square_prefix`, so a lookup
+        holds the events and blocks of fixed size, and the sequence keeps
+        O(size) floats per lattice, not O(N).
         """
         key = (step, size, n)
         lat = self._lattice_cache.get(key)
         if lat is None:
             counts = np.searchsorted(self.events, n * (np.arange(size + 1) * step),
                                      side="right")
-            sq = self.life_time_square_prefix()
-            lat = Lattice(counts, sq[counts], sq[np.minimum(counts + 1, len(self))])
+            lat = Lattice(counts, *self.square_prefix(
+                np.stack((counts, np.minimum(counts + 1, len(self))))))
             for a in lat:
                 a.flags.writeable = False
             self._lattice_cache[key] = lat
@@ -309,15 +359,20 @@ def _skip_count(spec: RenewalSpec, lo: float) -> int:
 
 
 def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
-                    hi: float) -> np.ndarray:
-    """Strictly increasing events in (lo, hi] of a renewal process started at 0.
+                    hi: float, before: int = 0, after: int = 0) -> np.ndarray:
+    """Strictly increasing events in (lo, hi] of a renewal process started at 0,
+    with `before` free slots ahead of them and `after` free slots behind.
 
     Life times come from rng in chunks and are accumulated in one running
     sum until it passes hi.  The first chunk covers the mean count of
-    the span plus six standard deviations, so a second chunk is rare.
-    Strict increase is enforced on every path, once, on the times up to
-    hi that were drawn (see _enforce_strict_increase); the result is the
-    part in (lo, hi], cut after the repair, since a bump at hi can pass hi.
+    the span plus six standard deviations, so a second chunk is rare; it is
+    drawn in place into one buffer that also holds the free slots, so the
+    result is a view of that buffer.  Only a second chunk or the bridge
+    below joins the parts in a new buffer.  Strict increase is enforced on
+    every path, once, on the times up to hi that were drawn (see
+    _enforce_strict_increase); the result is the part in (lo, hi], cut
+    after the repair, since a bump at hi can pass hi.  The free slots hold
+    no events: a caller fills them with another segment's events.
 
     The first K = _skip_count(spec, lo) renewals are skipped: S_K, a sum
     of K i.i.d. Gamma(p, rate) life times, is drawn in one call as
@@ -325,10 +380,11 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
     sums S_1..S_K are rebuilt given S_K, as S_K times the normalised
     cumulative sums of K Gamma(p, 1) draws (a Dirichlet bridge).  K is 0
     for lo = 0, so that path is drawn in full and its stream is that of a
-    plain simulation.
+    plain simulation.  The whole call holds the result's buffer, one
+    comparison block and, where ties occur, one int64 block.
     """
     if hi <= lo:
-        return np.empty(0)
+        return np.empty(before + after)
     start = 0.0
     parts = []
     k = _skip_count(spec, lo)
@@ -339,18 +395,25 @@ def _events_between(spec: RenewalSpec, rng: np.random.Generator, lo: float,
             parts.append(sums / sums[-1] * start)
     span = max(hi - start, 0.0)
     chunk = int(span / spec.mu + 6.0 * math.sqrt(span * spec.sigma2 / spec.mu**3)) + 16
+    buf = np.empty(before + chunk + after)
+    out = buf[before:before + chunk]  # where the first chunk is drawn
     total = start
     while total <= hi:
-        xi = spec.draw(rng, chunk)
+        xi = spec.draw(rng, chunk, out=out)
         xi[0] += total
         np.cumsum(xi, out=xi)
         parts.append(xi)
         total = float(xi[-1])
         chunk = max(chunk // 4, 1024)
-    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = None
+    # rare: a second chunk, or the bridge (alone if it passes hi, out unused)
+    if len(parts) > 1 or out is not None:
+        buf = np.concatenate([np.empty(before), *parts, np.empty(after)])
+    times = buf[before:buf.size - after]
     times = _enforce_strict_increase(times[:np.searchsorted(times, hi, side="right")])
-    return times[np.searchsorted(times, lo, side="right"):
-                 np.searchsorted(times, hi, side="right")]
+    i = np.searchsorted(times, lo, side="right")
+    j = np.searchsorted(times, hi, side="right")
+    return buf[i:before + j + after]
 
 
 def simulate_renewal(spec: RenewalSpec, horizon: float, seed: int,
@@ -375,12 +438,23 @@ def simulate_compound(model: ChangePointModel, seed: int,
     independent phi2 process started at 0 and restricted to (n*c, n*T].
     An event landing exactly on n*c belongs to the first segment.  The two
     segments use the sub-streams (*stream, 1) and (*stream, 2).
+
+    The segment with fewer expected events is drawn first, into its own
+    array; the other is drawn into a buffer with room for it on its side,
+    where it is copied, so the sequence is built in one buffer.
     """
     nc = model.n * model.c
     nT = model.n * model.T
-    left = _events_between(model.phi1, substream(seed, *stream, 1), 0.0, nc)
-    right = _events_between(model.phi2, substream(seed, *stream, 2), nc, nT)
-    return _trusted_sequence(np.concatenate([left, right]), nT)
+    rng1, rng2 = substream(seed, *stream, 1), substream(seed, *stream, 2)
+    if nc / model.phi1.mu >= (nT - nc) / model.phi2.mu:
+        right = _events_between(model.phi2, rng2, nc, nT)
+        events = _events_between(model.phi1, rng1, 0.0, nc, after=right.size)
+        events[events.size - right.size:] = right
+    else:
+        left = _events_between(model.phi1, rng1, 0.0, nc)
+        events = _events_between(model.phi2, rng2, nc, nT, before=left.size)
+        events[:left.size] = left
+    return _trusted_sequence(events, nT)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The window-estimator oracles follow the definitions in `sharkfin.filtered`
 one window at a time, with plain Python loops and sums, and share no code
 with the prefix-sum arithmetic of `window_estimate_series`.  The others
-state a count, the life times, a one-sample KS test and the closed-form
-law of the null maximum straight from their definitions.
+state a count, the life times and their squared prefix, a one-sample KS
+test and the closed-form law of the null maximum straight from their
+definitions.
 """
 
 import math
@@ -21,6 +22,11 @@ def brute_count(events, a, b):
 def life_times(events):
     """Life times xi_j = S_j - S_{j-1} with xi_1 = S_1."""
     return np.diff(events, prepend=0.0)
+
+
+def square_prefix(events):
+    """[0, xi_1^2, xi_1^2 + xi_2^2, ...]: np.cumsum over all N + 1 entries."""
+    return np.cumsum(np.diff(events, prepend=(0.0, 0.0)) ** 2)
 
 
 class BruteWindow(NamedTuple):

@@ -383,6 +383,24 @@ def test_non_positive_n_delta_workers_refused_when_parsing(tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+@pytest.mark.parametrize("shape, rate", [(1e-300, 1), (1, 1e-110)],
+                         ids=["mu_cubed_underflows", "mu_cubed_overflows"])
+def test_law_without_finite_count_variance_rate_refused(tmp_path, capsys, command,
+                                                        shape, rate):
+    argv = ("--p1", shape, "--l1", rate, *(("--T", 10) if command == "simulate" else ()))
+    assert run(command, *argv, "--out-dir", tmp_path / "out") == 2
+    assert "sigma2/mu**3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_request_beyond_any_memory_is_an_error_not_a_traceback(tmp_path, capsys):
+    # a grid of 3.5e17 nodes, 2.43 EiB: more than any host can map, so
+    # numpy refuses it at once and nothing is allocated
+    assert run("theory", "--delta", 1e-15, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 2.43 EiB")
+
+
 @pytest.mark.parametrize("command, flag", [
     *((command, "--workers") for command in ("simulate", "threshold", "detect", "theory",
                                              "verify")),

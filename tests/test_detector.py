@@ -224,6 +224,28 @@ def test_threshold_block_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize("name", ["SHARK_WEST", "SHARK_EAST", "SHARK_WEST_INVERTED",
+                                  "SHARK_EAST_INVERTED", "DISTORTION_A", "DISTORTION_B"])
+def test_detect_memory_does_not_grow_with_the_events(name):
+    # 0.48-0.80 million events at n = 64 (3.7-6.1 MB); the squared life-time
+    # prefix is summed in fixed-size blocks, so detect holds about 0.27 MiB
+    # where one prefix of N + 1 floats held as much as the events
+    h_set = (50.0, 100.0, 150.0)
+    table = ThresholdTable(alpha=0.05, h_set=h_set, T=1000.0, grid_step=5.0,
+                           n_sims=1000, seed=0, Q=3.0,
+                           per_h_max_quantiles={h: 3.0 for h in h_set})
+    model = getattr(presets, name)
+    detect(simulate_compound(model, seed=0), 1000.0, 1, h_set, table)  # first-call allocations
+    seq = simulate_compound(model.with_scale(64), seed=11)
+    tracemalloc.start()
+    try:
+        detect(seq, 1000.0, 64, h_set, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
 def test_threshold_validation():
     with pytest.raises(ConfigurationError):
         simulate_threshold(1000.0, [150.0], 5.0, 1.5, 1000, seed=1)

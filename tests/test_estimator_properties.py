@@ -15,22 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_s_hat, brute_window_stats, life_times
+from oracles import brute_s_hat, brute_window_stats, square_prefix
 from sharkfin.detector import ThresholdTable, detect
 from sharkfin.filtered import window_estimate_series
 from sharkfin.presets import SHARK_EAST, SHARK_WEST
-from sharkfin.renewal import (EventSequence, RenewalSpec, simulate_compound,
-                              simulate_renewal)
+from sharkfin.renewal import (EventSequence, RenewalSpec, _BLOCK, _enforce_strict_increase,
+                              simulate_compound, simulate_renewal, substream)
 
 EPS = np.finfo(float).eps
 T = 12.0
 STEP = 0.25   # dyadic, so grid nodes and window edges n*(t +- h) are exact
-
-
-def old_square_prefix(seq):
-    """The expression the one-buffer prefix replaced."""
-    xi = life_times(seq.events)
-    return np.concatenate(([0.0], np.cumsum(xi * xi)))
 
 
 @st.composite
@@ -64,7 +58,7 @@ def estimate_tolerances(seq, lo, hi):
     """
     cnt = hi - lo
     m_rtol = 4.0 * (cnt + 2) * EPS
-    prefix = seq.life_time_square_prefix()
+    prefix = square_prefix(seq.events)
     v_atol = 16.0 * len(seq) * EPS * prefix[hi] / max(cnt - 2, 1)
     return m_rtol, v_atol
 
@@ -123,24 +117,47 @@ def test_sparse_windows_on_edges_match_oracle(events, h, n, counts):
 # the squared life-time prefix and the lattice record
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=sequences())
-def test_square_prefix_is_bit_identical_to_per_call_expression(case):
+@given(case=sequences(), data=st.data())
+def test_square_prefix_is_bit_identical_to_per_call_expression(case, data):
     seq, _, _ = case
-    fresh = EventSequence(seq.events, seq.horizon)
-    got = fresh.life_time_square_prefix()
-    assert got.shape == (len(seq) + 1,)
-    assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
-    # computed on each call: the sequence keeps no O(N) array
-    assert got.flags.writeable
-    assert fresh.life_time_square_prefix() is not got
+    expected = square_prefix(seq.events)
+    assert same_bits(seq.square_prefix(np.arange(len(seq) + 1)), expected)
+    # any counts in any order and shape, each read where it lies
+    counts = np.array(data.draw(st.lists(st.integers(0, len(seq)), min_size=1,
+                                         max_size=24)))
+    got = seq.square_prefix(counts.reshape(-1, 1))
+    assert same_bits(got, expected[counts].reshape(-1, 1))
 
 
 @pytest.mark.parametrize("events", [[], [0.75], [0.75, 2.0], [1e-300, 1e-10, 3.0]])
 def test_square_prefix_small_sequences(events):
     seq = EventSequence(np.array(events, dtype=float), 5.0)
-    got = seq.life_time_square_prefix()
-    assert np.array_equal(got.view(np.int64), old_square_prefix(seq).view(np.int64))
+    assert same_bits(seq.square_prefix(np.arange(len(seq) + 1)), square_prefix(seq.events))
+    assert seq.square_prefix(np.array([], dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("counts", [[-1], [0, 4], [2, -3, 1]])
+def test_square_prefix_refuses_counts_outside_the_sequence(counts):
+    seq = EventSequence(np.array([0.75, 2.0, 2.5]), 5.0)
+    with pytest.raises(ValueError, match="counts must lie in 0..3"):
+        seq.square_prefix(np.array(counts))
+
+
+@pytest.mark.parametrize("size", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_square_prefix_at_block_edges(size):
+    # gamma(1/20) life times span many magnitudes, so the order of the
+    # additions shows in the bits; their float ties are repaired
+    events = _enforce_strict_increase(np.cumsum(substream(size, 3).gamma(1 / 20, 20.0, size)))
+    seq = EventSequence(events, float(events[-1]) if size else 1.0)
+    expected = square_prefix(events)
+    assert same_bits(seq.square_prefix(np.arange(size + 1)[::-1]), expected[::-1])
+    for k in {0, size, max(size - 1, 0), min(_BLOCK, size), min(_BLOCK + 1, size)}:
+        assert same_bits(seq.square_prefix(np.array([k])), expected[[k]])
 
 
 # west-32 has the size of the cli_pipeline input, about 336,000 events, where
@@ -166,7 +183,7 @@ def test_detect_does_not_depend_on_prefix_cache(model, n):
     (lat,) = warm._lattice_cache.values()
     nodes = n * 5.0 * np.arange(201)  # the lattice 0, 5, ..., 1000 at scale n
     assert np.array_equal(lat.counts, np.searchsorted(events, nodes, side="right"))
-    prefix = warm.life_time_square_prefix()
+    prefix = square_prefix(events)
     assert np.array_equal(lat.sq.view(np.int64), prefix[lat.counts].view(np.int64))
     assert np.array_equal(lat.sq_next.view(np.int64),
                           prefix[np.minimum(lat.counts + 1, len(warm))].view(np.int64))

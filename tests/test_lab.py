@@ -84,6 +84,14 @@ def test_insufficient_replicates_fail_with_note():
     assert not rep.passed and rep.notes
 
 
+@pytest.mark.parametrize("n_reps", [0, -3])
+def test_window_variance_forms_without_replicates_fail_with_note(n_reps):
+    # no replicate mean to compare: no division by zero, no NaN metric
+    rep = check_window_variance_forms(SHARK_WEST, 150.0, seed=0, n_reps=n_reps)
+    assert not rep.passed and not rep.metrics
+    assert rep.notes == [f"insufficient replicates (n_reps={n_reps})"]
+
+
 @pytest.mark.parametrize("check, kwargs", [
     (check_alternative_limit, dict(n_reps=4)),
     (check_window_lln, dict()),

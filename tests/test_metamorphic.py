@@ -10,7 +10,7 @@ absorb it.
 import numpy as np
 import pytest
 
-from sharkfin.detector import simulate_threshold
+from sharkfin.detector import detect, simulate_threshold
 from sharkfin.filtered import G_process
 from sharkfin.presets import (DISTORTION_A, ORIENTATION_MODELS, SHARK_EAST,
                               SHARK_EAST_INVERTED, SHARK_WEST, SHARK_WEST_INVERTED)
@@ -50,6 +50,30 @@ def test_G_of_reversed_events_is_mirrored_and_negated(name, n):
         scale = np.max(np.abs(G.values))
         assert scale > 0
         assert np.max(np.abs(G.values + G_rev.values[::-1])) <= 1e-9 * scale
+
+
+@pytest.fixture(scope="module")
+def table():
+    return simulate_threshold(1000.0, (50.0, 150.0), STEP, 0.05, 2048, seed=3, workers=1)
+
+
+@pytest.mark.parametrize("name", sorted(REVERSIBLE))
+@pytest.mark.parametrize("n", [1, 4])
+def test_detect_on_reversed_events_finds_the_mirrored_change_points(name, n, table):
+    # measured on seeds 0-24 of these laws: each estimate maps to T - location
+    # with its window and a negated value; argmax ties on equal |G| would
+    # break this, and none occurs on these paths
+    model = REVERSIBLE[name].with_scale(n)
+    seq = simulate_compound(model, seed=11)
+    nT = n * model.T
+    rev = EventSequence(nT - seq.events[::-1], nT)
+    got, got_rev = (detect(s, model.T, n, table.h_set, table) for s in (seq, rev))
+    assert got.reject and got_rev.reject
+    assert abs(got.global_max - got_rev.global_max) <= 1e-9 * got.global_max
+    mirrored = sorted((model.T - cp.location, cp.h, -cp.value) for cp in got_rev.change_points)
+    assert [cp[:2] for cp in got.change_points] == [cp[:2] for cp in mirrored]
+    assert np.allclose([cp.value for cp in got.change_points], [cp[2] for cp in mirrored],
+                       rtol=0.0, atol=1e-9 * got.global_max)
 
 
 @pytest.mark.parametrize("name", sorted(ORIENTED))

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_count, life_times
 from sharkfin import renewal
+from sharkfin.presets import (DISTORTION_A, DISTORTION_B, SHARK_EAST, SHARK_EAST_INVERTED,
+                              SHARK_WEST, SHARK_WEST_INVERTED)
 from sharkfin.renewal import (_ALIGN_RTOL, ChangePointModel, ConfigurationError,
                               EventSequence, RenewalSpec, WindowConfig,
                               process_map, read_event_file,
@@ -35,6 +37,14 @@ def test_gamma_spec_moments_exact():
                                         (1e300, 1e-10), (1, 1e-200), (1, 1e200)])
 def test_gamma_spec_rejects_nonpositive(shape, rate):
     with pytest.raises(ValueError):
+        RenewalSpec.gamma(shape, rate)
+
+
+# finite positive moments whose count-variance rate sigma2/mu**3, which sizes
+# every simulation, is not: mu**3 underflows to 0, or overflows
+@pytest.mark.parametrize("shape, rate", [(1e-300, 1), (1, 1e-110)])
+def test_gamma_spec_rejects_count_variance_rate_out_of_range(shape, rate):
+    with pytest.raises(ValueError, match=r"sigma2/mu\*\*3"):
         RenewalSpec.gamma(shape, rate)
 
 
@@ -462,6 +472,19 @@ def test_event_file_read_holds_one_event_buffer(tmp_path):
     assert peak <= seq.events.nbytes + 3 * 2**20
     assert peak <= 1.75 * seq.events.nbytes  # the sequence shares loadtxt's array
     assert back.horizon == seq.horizon and np.array_equal(back.events, seq.events)
+
+
+@pytest.mark.parametrize("model", [SHARK_WEST, SHARK_EAST, SHARK_WEST_INVERTED,
+                                   SHARK_EAST_INVERTED, DISTORTION_A, DISTORTION_B],
+                         ids=["west", "east", "west_inverted", "east_inverted",
+                              "distortion_a", "distortion_b"])
+def test_compound_simulation_builds_one_event_buffer(model):
+    # the larger segment is drawn into the buffer of the whole sequence, so
+    # the peak is that buffer plus the smaller segment, whose share is at
+    # most 1/3 here (distortion_b); two buffers and a joined copy held 2.0x
+    simulate_compound(model, seed=0)  # first-call allocations stay out of the peak
+    seq, peak = traced_peak(simulate_compound, model.with_scale(64), 11)
+    assert peak <= 1.4 * seq.events.nbytes
 
 
 def read_fifo(path, text):

@@ -133,20 +133,46 @@ def test_strict_increase_matches_loop_oracle_property(times):
         assert same_bits(got, times)
 
 
+@pytest.mark.parametrize("size", [renewal._BLOCK - 1, renewal._BLOCK, renewal._BLOCK + 1,
+                                  2 * renewal._BLOCK + 1])
+@pytest.mark.parametrize("runs", [(0, renewal._BLOCK - 2, 2 * renewal._BLOCK - 2),
+                                  (renewal._BLOCK, 2 * renewal._BLOCK - 2)],
+                         ids=["first_tie_in_first_block", "first_tie_in_second_block"])
+def test_blocked_strict_increase_matches_loop_oracle_at_block_edges(size, runs):
+    # times 2 ulps apart, with runs of four equal times starting at the given
+    # indices; each run's bumps cascade two times past it.  The search blocks
+    # start at 0 and the repair blocks at the first tie, so each later run
+    # that fits straddles a repair block edge and needs the repaired time
+    # carried across it
+    gaps = np.full(size - 1, 2, dtype=np.int64)
+    for i in runs:
+        gaps[i:i + 3] = 0
+    times = ulp_walk(1.0, gaps)
+    got = renewal._enforce_strict_increase(times.copy())
+    assert same_bits(got, oracle_strict_increase(times.copy()))
+    assert np.all(got[1:] > got[:-1])
+
+
 def test_zero_life_times_are_redrawn_in_index_order():
     class QueuedGamma:
-        """Generator stub: each gamma call returns the next queued array."""
+        """Generator stub: each standard_gamma call answers the next queued
+        array, in `out` where one is given."""
 
         def __init__(self, *draws):
             self.draws = [np.array(d) for d in draws]
 
-        def gamma(self, shape, scale, size):
+        def standard_gamma(self, shape, size, out=None):
             assert self.draws[0].size == size
-            return self.draws.pop(0)
+            if out is None:
+                return self.draws.pop(0)
+            out[...] = self.draws.pop(0)
+            return out
 
     # the redraw of the three zeros holds a zero itself, redrawn in its turn
     rng = QueuedGamma([0.0, 1.0, 0.0, 2.0, 0.0], [3.0, 0.0, 4.0], [5.0])
-    assert RenewalSpec.gamma(1, 1).draw(rng, 5).tolist() == [3.0, 1.0, 5.0, 2.0, 4.0]
+    buf = np.empty(5)
+    assert RenewalSpec.gamma(1, 1).draw(rng, 5, out=buf) is buf
+    assert buf.tolist() == [3.0, 1.0, 5.0, 2.0, 4.0]
     assert rng.draws == []
 
 
@@ -212,8 +238,8 @@ def test_simulate_renewal_bit_identical_when_first_chunk_falls_short(monkeypatch
     # the declared mean is 10x the true one, so the first chunk covers a tenth
     spec = overstated_mean(2.0, 2.0)
     sizes, draw = [], RenewalSpec.draw
-    monkeypatch.setattr(RenewalSpec, "draw",
-                        lambda self, rng, size: sizes.append(size) or draw(self, rng, size))
+    monkeypatch.setattr(RenewalSpec, "draw", lambda self, rng, size, out=None:
+                        sizes.append(size) or draw(self, rng, size, out))
     seq = simulate_renewal(spec, 3000.0, seed=6)
     assert len(sizes) > 2
     assert same_bits(seq.events, oracle_simulate_renewal(spec, 3000.0, 6))
