@@ -82,13 +82,10 @@ def _h0_block(T: float, h_set: tuple, grid_step: float, seed: int,
     windows = [(cfg.lattice_index(h, "window size"), cfg.grid_indices(h).size,
                 math.sqrt(2.0 * h)) for h in cfg.h_set]
     out = np.empty((size, len(windows)))
-    buf = None
-    for rows, w in brownian_blocks(substream(seed, block), size,
-                                   cfg.lattice_size(), grid_step):
-        if buf is None:
-            buf = np.empty_like(w)
+    for rows, w, spare in brownian_blocks(substream(seed, block), size,
+                                          cfg.lattice_size(), grid_step):
         for i, (k, m, norm) in enumerate(windows):
-            d = buf[:len(w), :m]
+            d = spare[:, :m]
             np.multiply(w[:, k:k + m], 2.0, out=d)
             np.subtract(w[:, 2 * k:2 * k + m], d, out=d)
             np.add(d, w[:, :m], out=d)

@@ -255,8 +255,8 @@ def _h0_probe_samples(cfg: WindowConfig, h: float, probes: np.ndarray,
     idx = np.array([cfg.lattice_index(t, "probe time") for t in probes])
     k = cfg.lattice_index(h, "window size")
     out = np.empty((n_paths, idx.size))
-    for rows, w in brownian_blocks(substream(seed, *stream), n_paths,
-                                   cfg.lattice_size(), cfg.grid_step):
+    for rows, w, _ in brownian_blocks(substream(seed, *stream), n_paths,
+                                      cfg.lattice_size(), cfg.grid_step):
         out[rows] = (w[:, idx + k] - 2.0 * w[:, idx] + w[:, idx - k]) / math.sqrt(2.0 * h)
     return out
 

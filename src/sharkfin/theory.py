@@ -299,58 +299,66 @@ def detection_bound(Q: float, p: TheoryParams) -> float:
 # Gaussian limit process
 
 
-# Paths per chunk of `brownian_blocks`: about 1 MiB of path, so that a chunk
-# and the window sums computed from it stay in the L2 cache.
-_CHUNK_BYTES = 2**20
+# Paths per chunk of `brownian_blocks`: about 0.5 MiB of path.  A block holds
+# four buffers of that size, three of increments and one of paths, and lends
+# the spent increments buffer to its caller as scratch, so about 2 MiB in all;
+# 0.25 MiB chunks saved another 0.5 MB of peak RSS but ran 5-10 % slower.
+_CHUNK_BYTES = 2**19
 
 
 def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
                     step: float) -> Iterator[tuple]:
     """Standard Brownian paths sampled every `step`, in row chunks.
 
-    Yields (rows, w) pairs: `w` holds paths `rows` (a slice of range
-    n_paths) with shape (len, n_steps+1) and w[:, 0] = 0.  The values are
-    those of one (n_paths, n_steps) draw of increments, because numpy's
+    Yields (rows, w, spare) triples: `w` holds paths `rows` (a slice of
+    range n_paths) with shape (len, n_steps+1) and w[:, 0] = 0.  The values
+    are those of one (n_paths, n_steps) draw of increments, because numpy's
     `standard_normal` fills rows identically however a draw is split; so
     seeded results do not depend on the chunking.  `w` is one reused
-    buffer, overwritten by the next chunk.
+    buffer, overwritten by the next chunk.  `spare`, of shape
+    (len, n_steps), is the chunk's own increments buffer, lent to the
+    caller as scratch: its increments are already summed into `w`, and no
+    draw writes into it until the caller resumes the generator.
 
-    One helper thread draws each chunk after the first into a second
-    increments buffer while this thread scales and sums the chunk before
-    it and the caller reads that; the sums (one 2-D `np.cumsum`) hold the
-    GIL for most of their run, so a draw overlaps mainly the scaling and
-    the reads.  The draws still run one at a time and in chunk order, so
-    the values, and the state of `rng` after a full pass, are those of the
-    serial draw.  The draw runs one chunk ahead: after an early close,
-    `rng` has advanced one chunk past the last one yielded.  Every caller
-    in this package draws from a fresh substream and reads it to the end.
+    Three increment buffers of about 0.5 MiB each take the chunks in turn.
+    One helper thread draws them, two chunks ahead: once chunk i is summed,
+    the draw of chunk i+2 is queued into the buffer of chunk i-1, which the
+    caller gave back by resuming, so the helper always has a draw waiting
+    while this thread scales and sums a chunk and the caller reads it.
+    The sums (one 2-D `np.cumsum`) hold the GIL for most of their run, so a
+    draw overlaps mainly the scaling and the reads.  The draws still run
+    one at a time and in chunk order, so the values, and the state of
+    `rng` after a full pass, are those of the serial draw.  After an early
+    close, `rng` has drawn the chunks yielded plus two more (fewer if the
+    paths end first).  Every caller in this package draws from a fresh
+    substream and reads it to the end.
     """
     # imported here: the thread pool module costs every import of the package
     from concurrent.futures import ThreadPoolExecutor
 
     rows = max(1, min(n_paths, _CHUNK_BYTES // (8 * (n_steps + 1))))
     starts = range(0, n_paths, rows)
-    incs = [np.empty((rows, n_steps)) for _ in range(2)]
+    incs = [np.empty((rows, n_steps)) for _ in range(min(3, len(starts)))]
     w = np.empty((rows, n_steps + 1))
     w[:, 0] = 0.0
     scale = math.sqrt(step)
 
     def draw(i):
-        buf = incs[i % 2][:min(rows, n_paths - starts[i])]
+        buf = incs[i % 3][:min(rows, n_paths - starts[i])]
         rng.standard_normal(out=buf)
         return buf
 
-    # leaving the block waits for the pending draw, also on an early close
+    # leaving the block waits for the queued draws, also on an early close
     with ThreadPoolExecutor(1) as pool:
-        pending = None
+        queued = [pool.submit(draw, i) for i in range(min(2, len(starts)))]
         for i, start in enumerate(starts):
-            chunk = pending.result() if pending else draw(i)
-            if i + 1 < len(starts):
-                pending = pool.submit(draw, i + 1)
+            chunk = queued.pop(0).result()
             chunk *= scale
             r = len(chunk)
             np.cumsum(chunk, axis=1, out=w[:r, 1:])
-            yield slice(start, start + r), w[:r]
+            if i + 2 < len(starts):
+                queued.append(pool.submit(draw, i + 2))
+            yield slice(start, start + r), w[:r], chunk
 
 
 def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
@@ -378,10 +386,16 @@ def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
     m = jg.size
     values = np.empty((n_paths, m))
     rng = substream(seed, *stream)
-    for rows, w in brownian_blocks(rng, n_paths, cfg.lattice_size(), cfg.grid_step):
+    for rows, w, spare in brownian_blocks(rng, n_paths, cfg.lattice_size(),
+                                          cfg.grid_step):
         # the grid is jg = kh, ..., kh+m-1, so w at jg+kh, jg, jg-kh are slices
         wp, wt, wm = w[:, 2 * kh:2 * kh + m], w[:, kh:kh + m], w[:, :m]
-        wu, wv = w[:, ju], w[:, jv]  # W where c splits the right and left half
+        # W where c splits the right and left half; W_u is gathered into the
+        # lent scratch (ju is in range, and `take` buffers its output in raise
+        # mode or when `out` is not C-contiguous)
+        wu = np.take(w, ju, axis=1, mode="clip",
+                     out=spare.reshape(-1)[:len(w) * m].reshape(len(w), m))
+        wv = w[:, jv]
         out = values[rows]
         # L s = g1 (W_j-kh - W_j + D) + g2 (W_j+kh - W_j - D), D = W_u - W_v
         wu -= wv

@@ -132,20 +132,38 @@ def _h0_block_oracle(T, h_set, grid_step, seed, block, size):
 def test_brownian_kernel_matches_full_matrix_oracle(chunks):
     n_steps = 1000
     chunk_rows = len(next(brownian_blocks(substream(1), 10**6, n_steps, 1.0))[1])
-    assert 8 * (n_steps + 1) * chunk_rows <= 2**20
+    assert 8 * (n_steps + 1) * chunk_rows <= 2**19
     n_paths = max(1, int(chunks * chunk_rows))
 
     expect = _brownian_paths(substream(4, 2), n_paths, n_steps, 0.5)
     got = np.empty_like(expect)
     covered = 0
-    for rows, w in brownian_blocks(substream(4, 2), n_paths, n_steps, 0.5):
-        assert len(w) <= chunk_rows
+    for rows, w, spare in brownian_blocks(substream(4, 2), n_paths, n_steps, 0.5):
+        assert len(w) <= chunk_rows and spare.shape == (len(w), n_steps)
         got[rows] = w
         covered += len(w)
     assert covered == n_paths
     assert np.array_equal(got, expect)
 
     args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 3, n_paths)
+    assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
+
+
+@pytest.mark.parametrize("chunks", [0.5, 1.0, 2.6, 3.4])
+def test_brownian_kernel_lends_a_buffer_no_draw_writes(chunks):
+    # 3.4 chunks reuse the first of the three increment buffers; _h0_block
+    # computes its second differences in the lent buffer
+    n_steps = 1000
+    chunk_rows = len(next(brownian_blocks(substream(1), 10**6, n_steps, 1.0))[1])
+    n_paths = max(1, int(chunks * chunk_rows))
+    expect = _brownian_paths(substream(4, 7), n_paths, n_steps, 0.5)
+    got = np.empty_like(expect)
+    for rows, w, spare in brownian_blocks(substream(4, 7), n_paths, n_steps, 0.5):
+        spare.fill(np.nan)
+        got[rows] = w
+    assert np.array_equal(got, expect)
+
+    args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 4, n_paths)
     assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
 
 
@@ -159,7 +177,7 @@ def test_brownian_kernel_leaves_the_state_of_one_draw():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for rows, w in brownian_blocks(rng, n_paths, n_steps, 0.5):
+        for rows, w, _ in brownian_blocks(rng, n_paths, n_steps, 0.5):
             got[rows] = w
     finally:
         sys.setswitchinterval(interval)
@@ -176,15 +194,30 @@ def test_brownian_kernel_stops_its_helper_thread_on_early_exit():
     assert threading.active_count() == baseline + 1
     blocks.close()
     assert threading.active_count() == baseline
-    # the helper had drawn one chunk ahead of the one yielded
-    ref.standard_normal((2 * rows, n_steps))
+    # the helper had drawn two chunks ahead of the one yielded
+    ref.standard_normal((3 * rows, n_steps))
     assert rng.bit_generator.state == ref.bit_generator.state
 
     with pytest.raises(KeyError):
-        for rows, w in brownian_blocks(substream(4, 5), 10**4, n_steps, 1.0):
+        for rows, w, _ in brownian_blocks(substream(4, 5), 10**4, n_steps, 1.0):
             if rows.start > 0:
                 raise KeyError(rows)
     assert threading.active_count() == baseline
+
+
+def test_brownian_kernel_finishes_its_queued_draws_when_the_caller_raises():
+    # on its first chunk the caller raises while the draws of chunks 1 and 2
+    # are queued; leaving the generator waits for both and stops the helper
+    n_steps = 1000
+    baseline = threading.active_count()
+    rng, ref = substream(4, 6), substream(4, 6)
+    with pytest.raises(KeyError):
+        for rows, w, _ in brownian_blocks(rng, 10**4, n_steps, 1.0):
+            assert threading.active_count() == baseline + 1
+            raise KeyError(rows)
+    assert threading.active_count() == baseline
+    ref.standard_normal((3 * len(w), n_steps))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("workers, n_sims, pools", [
@@ -222,6 +255,20 @@ def test_threshold_block_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_threshold_block_holds_four_half_mebibyte_buffers():
+    # three increment buffers and one path buffer of 6 x 10001 floats:
+    # measured 1.88 MiB, where two 1 MiB increment buffers, a 1 MiB path
+    # buffer and a 1 MiB buffer of second differences held 4.01 MiB
+    _h0_block(1000.0, (50.0,), 1.0, 1, 0, 8)  # first-call imports
+    tracemalloc.start()
+    try:
+        _h0_block(1e4, (50.0, 100.0, 150.0, 200.0), 1.0, 1, 0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2**20
 
 
 @pytest.mark.parametrize("name", ["SHARK_WEST", "SHARK_EAST", "SHARK_WEST_INVERTED",
