@@ -18,12 +18,13 @@ same k-1 squared deviations to the variance (divisor k-2).  Windows with
 too few events fall back to the zero convention, and a zero mean or zero
 variance makes the window contribute nothing to s_hat.
 
-The three processes evaluate on the grid of a `WindowConfig`, where
-t - h, t and t + h are lattice nodes: they read every window as a lattice
-interval, from one `EventSequence.lattice` record of the counts and squared
-life-time prefix at the lattice nodes that all window sizes share, and
-compute each interval's half-window statistics once.  `window_estimate_series`
-serves arbitrary nodes.  Both gather the sums for one half-window formula.
+Every estimate runs one half-window formula on one kind of record, an
+`EventSequence` `Lattice` of the counts and squared life-time prefix at the
+window edges, and computes each interval's statistics once.  The three
+processes evaluate on the grid of a `WindowConfig`, where t - h, t and t + h
+are lattice nodes, and read the record that the sequence caches for the
+lattice all window sizes share; `window_estimate_series` serves arbitrary
+nodes from a record built per call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renewal import EventSequence, WindowConfig, ChangePointModel
+from .renewal import EventSequence, Lattice, WindowConfig, ChangePointModel
 from .series import StatisticSeries
 from .theory import TheoryParams, m_function, s_function
 
@@ -50,6 +51,8 @@ _EDGE_TOL = 1e-9
 
 
 def _check_window(seq: EventSequence, n: int, lo_t: float, hi_t: float) -> None:
+    if not (math.isfinite(lo_t) and math.isfinite(hi_t)):
+        raise ValueError(f"window bounds must be finite, got {lo_t} and {hi_t}")
     tol = _EDGE_TOL * max(1.0, seq.horizon)
     if n * hi_t > seq.horizon + tol:
         raise ValueError(
@@ -106,54 +109,51 @@ def _scaling_term(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     return np.where(ok, var / np.where(ok, cube, 1.0), 0.0)
 
 
+def _estimates(seq: EventSequence, lat: Lattice, k: int, grid: np.ndarray,
+               h: float, n: int) -> WindowEstimateSeries:
+    """Both window halves at every grid node from the record lat of nodes x.
+
+    Node j's halves are the intervals (x_{j-k}, x_j] and (x_j, x_{j+k}]: the
+    formula runs once per interval (x_a, x_{a+k}], and node j reads entry
+    j - k (left half) and entry j (right half); k = 0 only for no nodes.
+    """
+    cnt, mean, var = _half_windows(seq.events, lat.counts[:-k], lat.counts[k:],
+                                   lat.sq[k:] - lat.sq_next[:-k])
+    term = _scaling_term(mean, var)
+    return WindowEstimateSeries(
+        grid=grid, count_left=cnt[:-k], count_right=cnt[k:],
+        mean_left=mean[:-k], mean_right=mean[k:], var_left=var[:-k], var_right=var[k:],
+        count_diff=(cnt[k:] - cnt[:-k]).astype(float),
+        s_hat=np.sqrt((term[k:] + term[:-k]) * n * h))
+
+
 def window_estimate_series(seq: EventSequence, grid: np.ndarray, h: float,
                            n: int = 1) -> WindowEstimateSeries:
-    """Evaluate both window halves at every grid node in O(log N) per node.
+    """Evaluate both window halves at the m grid nodes, in any order.
 
-    Each call sums the squared life-time prefix up to the last window's end
-    in fixed-size blocks (`EventSequence.square_prefix`), O(N) time and no
-    O(N) memory: pass all nodes at once.  Serves arbitrary nodes; the
-    statistic processes, whose nodes are the lattice of a `WindowConfig`,
-    read theirs from `_lattice_windows`.
+    In the record of n * (grid - h, grid, grid + h), node a's halves are
+    intervals a and m + a.  Each call sums the squared life-time prefix up
+    to the last window's end in fixed-size blocks, O(N) time and no O(N)
+    memory: pass all nodes at once.
     """
     grid = np.asarray(grid, dtype=float)
+    if not h > 0:
+        raise ValueError(f"window size h must be positive, got {h}")
     if grid.size:
-        _check_window(seq, n, grid[0] - h, grid[-1] + h)
-    s = seq.events
-    le = np.searchsorted(s, n * (grid - h), side="right")
-    mi = np.searchsorted(s, n * grid, side="right")
-    ri = np.searchsorted(s, n * (grid + h), side="right")
-    sq_mi, sq_ri, sq_le1, sq_mi1 = seq.square_prefix(
-        np.stack((mi, ri, np.minimum(le + 1, mi), np.minimum(mi + 1, ri))))
-    cnt_l, mean_l, var_l = _half_windows(s, le, mi, sq_mi - sq_le1)
-    cnt_r, mean_r, var_r = _half_windows(s, mi, ri, sq_ri - sq_mi1)
-    shat = np.sqrt((_scaling_term(mean_r, var_r) + _scaling_term(mean_l, var_l))
-                   * n * h)
-    return WindowEstimateSeries(
-        grid=grid, count_left=cnt_l, count_right=cnt_r,
-        mean_left=mean_l, mean_right=mean_r, var_left=var_l, var_right=var_r,
-        count_diff=(cnt_r - cnt_l).astype(float), s_hat=shat)
+        _check_window(seq, n, grid.min() - h, grid.max() + h)
+    lat = seq.lattice_at(n * np.concatenate((grid - h, grid, grid + h)))
+    return _estimates(seq, lat, grid.size, grid, h, n)
 
 
-def _lattice_windows(seq: EventSequence, cfg: WindowConfig, h: float, n: int):
-    """Grid, count difference and s_hat of window size h on cfg.grid(h).
-
-    With h = k * grid_step, node j's halves are the lattice intervals
-    (x_{j-k}, x_j] and (x_j, x_{j+k}].  The half-window formula runs once
-    per interval (x_a, x_{a+k}], on the record `seq.lattice` looked up
-    once for all window sizes; node j reads entry j - k (left half) and
-    entry j (right half).
-    """
+def _lattice_windows(seq: EventSequence, cfg: WindowConfig, h: float,
+                     n: int) -> WindowEstimateSeries:
+    """Both window halves on cfg.grid(h), from the record `seq.lattice`
+    looked up once for all window sizes: h is k lattice steps."""
     j = cfg.grid_indices(h)
     grid = j * cfg.grid_step
     _check_window(seq, n, grid[0] - h, grid[-1] + h)
     k = int(j[0])                     # the grid starts at node h = k * grid_step
-    lat = seq.lattice(cfg.grid_step, int(j[-1]) + k, n)
-    cnt, mean, var = _half_windows(seq.events, lat.counts[:-k], lat.counts[k:],
-                                   lat.sq[k:] - lat.sq_next[:-k])
-    term = _scaling_term(mean, var)
-    shat = np.sqrt((term[k:] + term[:-k]) * n * h)
-    return grid, (cnt[k:] - cnt[:-k]).astype(float), shat
+    return _estimates(seq, seq.lattice(cfg.grid_step, int(j[-1]) + k, n), k, grid, h, n)
 
 
 def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:
@@ -177,10 +177,10 @@ def D_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int,
         raise ValueError(f"mu must be positive, got {mu}")
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    grid, count_diff, _ = _lattice_windows(seq, cfg, h, n)
+    est = _lattice_windows(seq, cfg, h, n)
     scale = math.sqrt(2.0 * n * h * sigma2 / mu**3)
-    return StatisticSeries(grid=grid, values=count_diff / scale,
-                           valid=np.ones(grid.size, dtype=bool),
+    return StatisticSeries(grid=est.grid, values=est.count_diff / scale,
+                           valid=np.ones(est.grid.size, dtype=bool),
                            h=h, n=n, grid_step=cfg.grid_step)
 
 
@@ -192,10 +192,10 @@ def Gamma_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int,
     overrides the model's own and must match the simulated sequence.
     """
     p = TheoryParams.from_model(model, h=h, n=n)
-    grid, count_diff, _ = _lattice_windows(seq, cfg, h, n)
-    values = (count_diff - m_function(grid, p)) / s_function(grid, p)
-    return StatisticSeries(grid=grid, values=values,
-                           valid=np.ones(grid.size, dtype=bool),
+    est = _lattice_windows(seq, cfg, h, n)
+    values = (est.count_diff - m_function(est.grid, p)) / s_function(est.grid, p)
+    return StatisticSeries(grid=est.grid, values=values,
+                           valid=np.ones(est.grid.size, dtype=bool),
                            h=h, n=n, grid_step=cfg.grid_step)
 
 
@@ -205,8 +205,8 @@ def G_process(seq: EventSequence, cfg: WindowConfig, h: float, n: int) -> Statis
     Nodes where s_hat is zero carry value 0.0 and valid=False instead of
     aborting the path: a single empty window must not kill the series.
     """
-    grid, count_diff, shat = _lattice_windows(seq, cfg, h, n)
-    valid = shat > 0.0
-    values = np.where(valid, count_diff / np.where(valid, shat, 1.0), 0.0)
-    return StatisticSeries(grid=grid, values=values, valid=valid,
+    est = _lattice_windows(seq, cfg, h, n)
+    valid = est.s_hat > 0.0
+    values = np.where(valid, est.count_diff / np.where(valid, est.s_hat, 1.0), 0.0)
+    return StatisticSeries(grid=est.grid, values=values, valid=valid,
                            h=h, n=n, grid_step=cfg.grid_step)

@@ -197,7 +197,7 @@ def _enforce_strict_increase(times: np.ndarray) -> np.ndarray:
 
 
 class Lattice(NamedTuple):
-    """Event counts at lattice nodes and the squared life-time prefix there."""
+    """Event counts at a set of nodes and the squared life-time prefix there."""
 
     counts: np.ndarray    # N at each node
     sq: np.ndarray        # square_prefix(counts)
@@ -282,25 +282,28 @@ class EventSequence:
     def _lattice_cache(self) -> dict:
         return {}
 
-    def lattice(self, step: float, size: int, n: float = 1) -> Lattice:
-        """The `Lattice` of the nodes n * (j * step) for j = 0..size.
+    def lattice_at(self, nodes: np.ndarray) -> Lattice:
+        """The read-only `Lattice` of nodes in any order, repeats allowed: one
+        search and one `square_prefix` lookup, no buffer that grows with N."""
+        counts = np.searchsorted(self.events, nodes, side="right")
+        lat = Lattice(counts, *self.square_prefix(
+            np.stack((counts, np.minimum(counts + 1, len(self))))))
+        for a in lat:
+            a.flags.writeable = False
+        return lat
 
-        Cached read-only per (step, size, n), so the statistic processes of
-        every window size over one `WindowConfig` share one search.  The
-        squared life-time prefix is read from `square_prefix`, so a lookup
-        holds the events and blocks of fixed size, and the sequence keeps
-        O(size) floats per lattice, not O(N).
+    def lattice(self, step: float, size: int, n: float = 1) -> Lattice:
+        """`lattice_at` the nodes n * (j * step) for j = 0..size.
+
+        Cached per (step, size, n), so the statistic processes of every
+        window size over one `WindowConfig` share one search, and the
+        sequence keeps O(size) floats per lattice, not O(N).
         """
         key = (step, size, n)
         lat = self._lattice_cache.get(key)
         if lat is None:
-            counts = np.searchsorted(self.events, n * (np.arange(size + 1) * step),
-                                     side="right")
-            lat = Lattice(counts, *self.square_prefix(
-                np.stack((counts, np.minimum(counts + 1, len(self))))))
-            for a in lat:
-                a.flags.writeable = False
-            self._lattice_cache[key] = lat
+            lat = self._lattice_cache[key] = self.lattice_at(
+                n * (np.arange(size + 1) * step))
         return lat
 
 

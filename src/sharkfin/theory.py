@@ -270,17 +270,12 @@ def distortion(t, p: TheoryParams):
 # detection probability
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+def normal_cdf(x: float) -> float:
+    """Standard normal distribution function 0.5*erfc(-x/sqrt(2)) of a scalar.
 
-
-@_scalar_or_array
-def normal_cdf(x):
-    """Standard normal distribution function 0.5*erfc(-x/sqrt(2)).
-
-    The erfc form keeps its relative accuracy deep in the lower tail.  A
-    scalar gives a float, an array a float64 array of the same shape.
+    The erfc form keeps its relative accuracy deep in the lower tail.
     """
-    return (0.5 * _erfc(-x / math.sqrt(2.0))).astype(float)
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def detection_bound(Q: float, p: TheoryParams) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_s_hat, brute_window_stats, square_prefix
+from oracles import brute_count, brute_s_hat, brute_window_stats, square_prefix
 from sharkfin.detector import ThresholdTable, detect
 from sharkfin.filtered import window_estimate_series
 from sharkfin.presets import SHARK_EAST, SHARK_WEST
@@ -158,6 +158,36 @@ def test_blocked_square_prefix_at_block_edges(size):
     assert same_bits(seq.square_prefix(np.arange(size + 1)[::-1]), expected[::-1])
     for k in {0, size, max(size - 1, 0), min(_BLOCK, size), min(_BLOCK + 1, size)}:
         assert same_bits(seq.square_prefix(np.array([k])), expected[[k]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sequences(), data=st.data())
+def test_lattice_at_matches_definitions_and_uniform_lattice(case, data):
+    seq, h, n = case
+    # uniform nodes: the bits of the cached lattice of a fresh sequence
+    size = int(T / STEP)
+    uniform = seq.lattice_at(n * (np.arange(size + 1) * STEP))
+    cached = EventSequence(seq.events, seq.horizon).lattice(STEP, size, n)
+    for a, b in zip(uniform, cached):
+        assert a.dtype == b.dtype and same_bits(a, b)
+    # unsorted and repeated nodes, as n * (grid - h, grid, grid + h) gives
+    grid = np.array(data.draw(st.lists(st.sampled_from(np.arange(h, T - h + STEP / 2, STEP)),
+                                       max_size=8)))
+    nodes = n * np.concatenate((grid - h, grid, grid + h, grid))
+    lat = seq.lattice_at(nodes)
+    counts = np.array([brute_count(seq.events, 0.0, x) for x in nodes], dtype=int)
+    assert np.array_equal(lat.counts, counts)
+    prefix = square_prefix(seq.events)
+    assert same_bits(lat.sq, prefix[counts])
+    assert same_bits(lat.sq_next, prefix[np.minimum(counts + 1, len(seq))])
+    assert not any(a.flags.writeable for a in lat)
+
+
+def test_lattice_at_no_nodes():
+    seq = EventSequence(np.array([0.75, 2.0, 2.5]), 5.0)
+    lat = seq.lattice_at(np.array([]))
+    assert [a.shape for a in lat] == [(0,)] * 3
+    assert not any(a.flags.writeable for a in lat)
 
 
 # west-32 has the size of the cli_pipeline input, about 336,000 events, where

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_count, brute_s_hat, brute_window_stats
 from sharkfin import presets
-from sharkfin.filtered import (D_process, G_process, Gamma_process, s_hat,
-                               window_estimate_series)
+from sharkfin.filtered import (D_process, G_process, Gamma_process, WindowEstimateSeries,
+                               s_hat, window_estimate_series)
 from sharkfin.presets import DISTORTION_A
 from sharkfin.renewal import (ChangePointModel, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal)
@@ -53,6 +53,38 @@ def test_window_stats_out_of_range():
             estimate(9.0)
         with pytest.raises(ValueError, match="before time zero"):
             estimate(1.0)
+
+
+def test_window_estimates_refuse_unsorted_out_of_range_and_non_finite_input():
+    seq = EventSequence(np.arange(1.0, 900.0), 900.0)
+    with pytest.raises(ValueError, match="window end 950.0 exceeds event horizon 900.0"):
+        window_estimate_series(seq, np.array([800.0, 200.0]), 150.0)
+    with pytest.raises(ValueError, match="before time zero"):
+        window_estimate_series(seq, np.array([700.0, 100.0]), 150.0)
+    for grid in ([np.nan], [300.0, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            window_estimate_series(seq, np.array(grid), 150.0)
+    for h in (0.0, -150.0, np.nan):
+        with pytest.raises(ValueError, match="window size h must be positive"):
+            s_hat(seq, 500.0, h)
+
+
+def test_window_stats_of_an_empty_grid():
+    seq = simulate_renewal(RenewalSpec.gamma(1, 1), 100.0, seed=3)
+    est = window_estimate_series(seq, np.array([]), 10.0)
+    for name in WindowEstimateSeries.__dataclass_fields__:
+        assert getattr(est, name).shape == (0,)
+
+
+def test_window_stats_of_one_node_equal_s_hat_and_the_grid():
+    seq = simulate_compound(presets.SHARK_WEST.with_scale(4), seed=5)
+    for h, grid in ((150.0, np.array([600.0, 150.0, 425.0, 600.0])),
+                    (149.3, np.array([600.37, 150.37, 425.37]))):
+        est = window_estimate_series(seq, grid, h, 4)
+        for i, t in enumerate(grid):
+            one = window_estimate_series(seq, np.array([t]), h, 4).s_hat
+            assert one.view(np.int64)[0] == est.s_hat.view(np.int64)[i]
+            assert np.float64(s_hat(seq, t, h, 4)).view(np.int64) == one.view(np.int64)[0]
 
 
 def test_window_stats_match_definition_oracle():
