@@ -149,11 +149,10 @@ def _lattice_windows(seq: EventSequence, cfg: WindowConfig, h: float,
                      n: int) -> WindowEstimateSeries:
     """Both window halves on cfg.grid(h), from the record `seq.lattice`
     looked up once for all window sizes: h is k lattice steps."""
-    j = cfg.grid_indices(h)
-    grid = j * cfg.grid_step
+    grid = cfg.grid(h)
     _check_window(seq, n, grid[0] - h, grid[-1] + h)
-    k = int(j[0])                     # the grid starts at node h = k * grid_step
-    return _estimates(seq, seq.lattice(cfg.grid_step, int(j[-1]) + k, n), k, grid, h, n)
+    lat = seq.lattice(cfg.grid_step, cfg.lattice_size(), n)
+    return _estimates(seq, lat, cfg.lattice_index(h, "window size"), grid, h, n)
 
 
 def s_hat(seq: EventSequence, t: float, h: float, n: int = 1) -> float:

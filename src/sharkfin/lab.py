@@ -157,7 +157,11 @@ def _strictly_decreasing(values) -> bool:
 
 
 def _verdict(report: LabReport, **criteria) -> LabReport:
-    """Record criteria given as name=(holds, note if it fails); pass iff all hold."""
+    """Record criteria given as name=(holds, note if it fails); pass iff all hold.
+    A trend criterion fails below three scales, whatever it says."""
+    if "trend" in criteria and len(report.n_levels) < 3:
+        criteria["trend"] = (False, "a trend needs at least three scales, "
+                                    f"got {len(report.n_levels)}")
     report.details["criteria"] = {name: ok for name, (ok, _) in criteria.items()}
     report.passed = all(ok for ok, _ in criteria.values())
     report.notes += [note for ok, note in criteria.values() if not ok and note]
@@ -185,8 +189,7 @@ def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
     converged = all(max(row) < critical for row in trend_ks)
     if converged:
         report.notes.append(f"{converged_note}; no trend demanded of pure noise")
-    trend_ok = len(report.n_levels) >= 3 and (
-        converged or _net_decrease_ok(means, allowance))
+    trend_ok = converged or _net_decrease_ok(means, allowance)
     return _verdict(report, trend=(trend_ok, None if converged else trend_note),
                     final_level=(max(final_ks) < critical,
                                  "final-level KS above critical value"))
@@ -291,8 +294,8 @@ def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
 
     errors(est, n), a partial of a module-level function, maps one
     replicate's window estimates at scale n to {metric name: sup-norm
-    error}.  Returns the trend criterion: at least three scales, and
-    every error decreasing strictly across them.
+    error}.  Returns the trend criterion: every error decreasing strictly
+    across the scales.
     """
     row = partial(_sup_norm_row, model, h, grid, seed, errors)
     for reps in _replicate_rows(row, report.n_levels, _SUP_NORM_REPS):
@@ -300,8 +303,7 @@ def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
             report.metrics.setdefault(name, []).append(
                 float(np.mean([e[name] for e in reps])))
     report.thresholds = {"final_tol": final_tol, "n_reps": _SUP_NORM_REPS}
-    return len(report.n_levels) >= 3 and all(
-        _strictly_decreasing(v) for v in report.metrics.values())
+    return all(_strictly_decreasing(v) for v in report.metrics.values())
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     probes = _snap_probes(cfg, h, [model.c - h / 2, model.c, model.c + h / 2])
     n_ref = _REF_PER_REPLICATE * n_reps
 
-    grid, ref_paths = simulate_L_paths(cfg, p1, seed, n_ref, stream=(91,))
+    grid, ref_paths = simulate_L_paths(p1, cfg.grid_step, seed, n_ref, stream=(91,))
     ref = ref_paths[:, np.searchsorted(grid, probes)]
     delta_t = distortion(probes, p1)
     row = partial(_alternative_row, _observed(model, probes, h), p1, probes, h,

@@ -478,12 +478,12 @@ def _align_ratio(x: float, step: float, what: str) -> int:
 class WindowConfig:
     """Analysis grid: window sizes h and a uniform step over [h, T-h].
 
-    Every grid node sits on the lattice {j * grid_step}; each window size
-    must be a positive integral number of steps so that t - h, t and t + h
-    are all lattice nodes.  That is what lets the limit-process simulation
-    resolve the window offsets by pure index arithmetic, and what lets the
-    statistic processes of `filtered` read every window as a lattice
-    interval from one lookup of the event counts at the lattice nodes.
+    The one source of the lattice {j * grid_step : j = 0..L}, L =
+    `lattice_size()`.  Each window size is a positive integral number k of
+    steps and its grid is the nodes k..L-k, so t - h, t and t + h are
+    lattice nodes.  That lets the limit-process simulation resolve window
+    offsets by index arithmetic, and the statistic processes of `filtered`
+    read every window as a lattice interval of one event-count lookup.
     """
 
     T: float
@@ -501,9 +501,7 @@ class WindowConfig:
         if len(set(hs)) != len(hs):
             raise ValueError(f"window sizes must be distinct, got {hs}")
         for h in hs:
-            if not (0 < h <= self.T / 2):
-                raise ValueError(f"window size must lie in (0, T/2], got h={h}, T={self.T}")
-            self._window_steps(h)
+            self.grid_indices(h)  # refuses h outside (0, T/2], off the lattice or no grid
         object.__setattr__(self, "h_set", hs)
 
     def lattice_size(self) -> int:
@@ -519,12 +517,14 @@ class WindowConfig:
         return k
 
     def grid_indices(self, h: float) -> np.ndarray:
-        """Lattice indices of the analysis region [h, T-h] for window h."""
+        """Lattice indices k..L-k of window h = k steps, L = `lattice_size()`."""
         if not (0 < h <= self.T / 2):
             raise ValueError(f"window size must lie in (0, T/2], got h={h}, T={self.T}")
-        j0 = self._window_steps(h)
-        j1 = int(math.floor((self.T - h) / self.grid_step + _ALIGN_RTOL))
-        return np.arange(j0, j1 + 1)
+        k, size = self._window_steps(h), self.lattice_size()
+        if 2 * k > size:  # h rounds up to k steps, T down to size < 2k
+            raise ConfigurationError(f"window size {h} of {k} steps leaves no grid node "
+                                     f"on the lattice of {size} steps over T={self.T}")
+        return np.arange(k, size - k + 1)
 
     def grid(self, h: float) -> np.ndarray:
         """Grid nodes covering the analysis region [h, T-h] for window h."""
@@ -579,7 +579,7 @@ def _horizon(path, fh) -> float:
     raise ValueError(f"{path}: missing '# horizon=' header")
 
 
-def _name_bad_line(path, fh) -> None:
+def _name_bad_line(path, fh, horizon: float) -> None:
     """Raise an error naming the first bad event line of fh, if it has one."""
     prev = 0.0
     for number, line in enumerate(fh, 1):
@@ -595,6 +595,8 @@ def _name_bad_line(path, fh) -> None:
             raise ValueError(f"{where}: event time must be finite, got {text!r}")
         if time <= prev:
             raise ValueError(f"{where}: event time {time} does not increase past {prev}")
+        if time > horizon:
+            raise ValueError(f"{where}: event time {time} exceeds horizon {horizon}")
         prev = time
 
 
@@ -612,5 +614,5 @@ def read_event_file(path) -> EventSequence:
             return EventSequence(events, horizon)
         except ValueError as exc:
             fh.seek(0)
-            _name_bad_line(path, fh)
+            _name_bad_line(path, fh, horizon)
             raise ValueError(f"{path}: {exc}") from None

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .renewal import ChangePointModel, ConfigurationError, WindowConfig, substream
+from .renewal import ChangePointModel, WindowConfig, substream
 
 __all__ = [
     "TheoryParams",
@@ -356,24 +356,23 @@ def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
             yield slice(start, start + r), w[:r], chunk
 
 
-def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
+def simulate_L_paths(p: TheoryParams, grid_step: float, seed: int,
                      n_paths: int, stream: Iterable[int] = ()) -> tuple:
     """Discretised sample paths of the Gaussian limit process.
 
-    Returns (grid, values) where values has shape (n_paths, len(grid)).
-    One Brownian path W per replicate is sampled on the full lattice over
-    [0, T] with independent N(0, grid_step) increments; window offsets
-    and the change point are resolved by lattice index arithmetic, which
-    is why h and c must be multiples of the grid step.  L_t is W's increment
-    over (t, t+h] minus that over (t-h, t], over s_t at n = 1, each step
-    weighted by sqrt(sigma_i^2/mu_i^3) of the law in force on its side of c.
+    Returns (grid, values), values of shape (n_paths, len(grid)), on the grid
+    of window p.h over the `WindowConfig` lattice of step grid_step on [0, p.T],
+    where one Brownian path W per replicate has N(0, grid_step) increments.
+    Window offsets and the change point are lattice index arithmetic, so h
+    and c must be multiples of the grid step.  L_t is W's increment over
+    (t, t+h] minus that over (t-h, t], over s_t at n = 1, each step weighted
+    by sqrt(sigma_i^2/mu_i^3) of the law in force on its side of c.
     """
-    if abs(p.T - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ConfigurationError(f"params horizon {p.T} != grid horizon {cfg.T}")
+    cfg = WindowConfig(p.T, (p.h,), grid_step)
     jg = cfg.grid_indices(p.h)
     kh = cfg.lattice_index(p.h, "window size")
     kc = cfg.lattice_index(p.c, "change point")
-    grid = jg * cfg.grid_step
+    grid = jg * grid_step
     ju, jv = np.clip(kc, jg, jg + kh), np.clip(kc, jg - kh, jg)
     g1, g2 = math.sqrt(p.ratio1), math.sqrt(p.ratio2)
     s = s_function(grid, p.at_scale(1))
@@ -381,8 +380,7 @@ def simulate_L_paths(cfg: WindowConfig, p: TheoryParams, seed: int,
     m = jg.size
     values = np.empty((n_paths, m))
     rng = substream(seed, *stream)
-    for rows, w, spare in brownian_blocks(rng, n_paths, cfg.lattice_size(),
-                                          cfg.grid_step):
+    for rows, w, spare in brownian_blocks(rng, n_paths, cfg.lattice_size(), grid_step):
         # the grid is jg = kh, ..., kh+m-1, so w at jg+kh, jg, jg-kh are slices
         wp, wt, wm = w[:, 2 * kh:2 * kh + m], w[:, kh:kh + m], w[:, :m]
         # W where c splits the right and left half; W_u is gathered into the

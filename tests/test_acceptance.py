@@ -21,8 +21,8 @@ from sharkfin.lab import (check_estimator_consistency,
                           ks_statistic_2samp)
 from sharkfin.presets import (DISTORTION_A, DISTORTION_B, ORIENTATION_MODELS,
                               SHARK_WEST)
-from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
-                              simulate_compound, simulate_renewal)
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, simulate_compound,
+                              simulate_renewal)
 from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
                              detection_bound, distortion, shark_fin,
                              simulate_L_paths)
@@ -135,8 +135,7 @@ def test_06_distortion_anchors():
 
 def test_07_limit_marginals():
     p = TheoryParams.from_model(DISTORTION_A, H)
-    cfg = WindowConfig(T, (H,), 5.0)
-    grid, paths = simulate_L_paths(cfg, p, seed=11, n_paths=10000)
+    grid, paths = simulate_L_paths(p, 5.0, seed=11, n_paths=10000)
     crit = ks_critical_normal(0.01, 10000)
     rows = []
     ok = True
@@ -189,8 +188,7 @@ def test_10_distributional_identity():
         seq = simulate_compound(observed, seed=555, stream=(r,))
         est = window_estimate_series(seq, np.array([C]), H, n)
         vals[r] = est.count_diff[0] / est.s_hat[0] - delta_c * lam_c
-    cfg = WindowConfig(T, (H,), 5.0)
-    grid, ref = simulate_L_paths(cfg, p1, seed=777, n_paths=2000)
+    grid, ref = simulate_L_paths(p1, 5.0, seed=777, n_paths=2000)
     ref_c = delta_c * ref[:, int(np.searchsorted(grid, C))]
     ks = ks_statistic_2samp(vals, ref_c)
     crit = ks_critical_2samp(0.01, 500, 2000)
@@ -216,7 +214,7 @@ def test_power_matches_distorted_fin_prediction(prediction_table, phi1, phi2):
     emp = np.mean([detect(simulate_compound(model, 2014, stream=(r,)),
                           T, 1, [H], prediction_table).reject for r in range(600)])
     p = TheoryParams.from_model(model, H)
-    grid, L = simulate_L_paths(WindowConfig(T, (H,), 5.0), p, 7, 4000)
+    grid, L = simulate_L_paths(p, 5.0, 7, 4000)
     G = distortion(grid, p) * (shark_fin(grid, p) + L)
     pred = np.mean(np.abs(G).max(axis=1) > Q)
     band = 4 * math.sqrt(pred * (1 - pred) * (1 / 600 + 1 / 4000))

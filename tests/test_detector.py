@@ -23,7 +23,7 @@ from sharkfin.renewal import (ConfigurationError, EventSequence, RenewalSpec,
                               WindowConfig, simulate_compound, simulate_renewal,
                               substream)
 from sharkfin.series import StatisticSeries
-from sharkfin.theory import brownian_blocks
+from sharkfin.theory import TheoryParams, brownian_blocks, simulate_L_paths
 
 
 def make_series(grid, values, valid=None, h=150.0, step=None):
@@ -115,10 +115,9 @@ def _brownian_paths(rng, n_paths, n_steps, step):
     return w
 
 
-def _h0_block_oracle(T, h_set, grid_step, seed, block, size):
+def _h0_block_oracle(cfg, seed, block, size):
     """Oracle: per-window maxima from the full matrix and index gathers."""
-    cfg = WindowConfig(T, h_set, grid_step)
-    w = _brownian_paths(substream(seed, block), size, cfg.lattice_size(), grid_step)
+    w = _brownian_paths(substream(seed, block), size, cfg.lattice_size(), cfg.grid_step)
     out = np.empty((size, len(cfg.h_set)))
     for i, h in enumerate(cfg.h_set):
         jg = cfg.grid_indices(h)
@@ -145,7 +144,7 @@ def test_brownian_kernel_matches_full_matrix_oracle(chunks):
     assert covered == n_paths
     assert np.array_equal(got, expect)
 
-    args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 3, n_paths)
+    args = (WindowConfig(1000.0, (50.0, 100.0, 150.0), 1.0), 8, 3, n_paths)
     assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
 
 
@@ -163,7 +162,7 @@ def test_brownian_kernel_lends_a_buffer_no_draw_writes(chunks):
         got[rows] = w
     assert np.array_equal(got, expect)
 
-    args = (1000.0, (50.0, 100.0, 150.0), 1.0, 8, 4, n_paths)
+    args = (WindowConfig(1000.0, (50.0, 100.0, 150.0), 1.0), 8, 4, n_paths)
     assert np.array_equal(_h0_block(*args), _h0_block_oracle(*args))
 
 
@@ -248,9 +247,10 @@ def test_threshold_refuses_non_positive_workers(workers):
 
 def test_threshold_block_memory_is_bounded():
     # the full-matrix block held about 385 MB here
+    cfg = WindowConfig(1e4, (50.0, 100.0, 150.0, 200.0), 1.0)
     tracemalloc.start()
     try:
-        _h0_block(1e4, (50.0, 100.0, 150.0, 200.0), 1.0, 1, 0, 1024)
+        _h0_block(cfg, 1, 0, 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,10 +261,11 @@ def test_threshold_block_holds_four_half_mebibyte_buffers():
     # three increment buffers and one path buffer of 6 x 10001 floats:
     # measured 1.88 MiB, where two 1 MiB increment buffers, a 1 MiB path
     # buffer and a 1 MiB buffer of second differences held 4.01 MiB
-    _h0_block(1000.0, (50.0,), 1.0, 1, 0, 8)  # first-call imports
+    _h0_block(WindowConfig(1000.0, (50.0,), 1.0), 1, 0, 8)  # first-call imports
+    cfg = WindowConfig(1e4, (50.0, 100.0, 150.0, 200.0), 1.0)
     tracemalloc.start()
     try:
-        _h0_block(1e4, (50.0, 100.0, 150.0, 200.0), 1.0, 1, 0, 1024)
+        _h0_block(cfg, 1, 0, 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,6 +367,41 @@ def test_threshold_table_load_rejects_unusable_fields(tmp_path, field, value,
     with pytest.raises(ConfigurationError) as err:
         ThresholdTable.load(path)
     assert str(path) in str(err.value) and message in str(err.value)
+
+
+def test_threshold_table_built_in_code_checks_its_fields():
+    # a NaN Q compares false with every maximum, so detect would never reject
+    with pytest.raises(ConfigurationError, match="Q must be finite, got nan"):
+        ThresholdTable(alpha=0.05, h_set=(150.0,), T=1000.0, grid_step=5.0, n_sims=1000,
+                       seed=0, Q=math.nan, per_h_max_quantiles={150.0: 3.0})
+
+
+# T and h lie within the alignment tolerance below 1000 and 150 steps: the
+# lattice ends at node 999, and the grid of h must end at node 849
+EDGE_T, EDGE_H = 999.99999995, 149.9999999
+
+
+def test_windows_at_the_alignment_tolerance_end_on_the_lattice():
+    cfg = WindowConfig(EDGE_T, (EDGE_H,), 1.0)
+    assert cfg.lattice_size() == 999 and cfg.grid_indices(EDGE_H)[-1] == 849
+    table = simulate_threshold(EDGE_T, (EDGE_H,), 1.0, 0.05, 200, seed=3, workers=1)
+    assert math.isfinite(table.Q)
+    assert np.array_equal(_h0_block(cfg, 3, 0, 8), _h0_block_oracle(cfg, 3, 0, 8))
+    p = TheoryParams(1.0, 0.5, 1.0, 0.25, c=500.0, T=EDGE_T, h=EDGE_H)
+    grid, paths = simulate_L_paths(p, 1.0, seed=3, n_paths=4)
+    assert np.array_equal(grid, cfg.grid(EDGE_H)) and paths.shape == (4, grid.size)
+    assert np.isfinite(paths).all()
+
+
+def test_detect_caches_one_lattice_record_for_all_windows():
+    h_set = (50.0, 100.0, EDGE_H, 200.0)
+    table = ThresholdTable(alpha=0.05, h_set=h_set, T=EDGE_T, grid_step=1.0,
+                           n_sims=1000, seed=0, Q=3.0,
+                           per_h_max_quantiles={h: 3.0 for h in h_set})
+    seq = simulate_renewal(RenewalSpec.gamma(2, 2), EDGE_T, seed=5)
+    res = detect(seq, EDGE_T, 1, h_set, table)
+    assert len(res.per_h_series) == 4
+    assert list(seq._lattice_cache) == [(1.0, 999, 1)]
 
 
 # ---------------------------------------------------------------------------

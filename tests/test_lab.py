@@ -18,8 +18,7 @@ from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           check_window_variance_forms, ks_critical_2samp,
                           ks_statistic_2samp, run_verification_suite)
 from sharkfin.presets import DISTORTION_A, DISTORTION_B, SHARK_WEST
-from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
-                              process_map, simulate_compound, simulate_renewal,
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, process_map, simulate_compound, simulate_renewal,
                               worker_count)
 from sharkfin.theory import (TheoryParams, distortion, shark_fin,
                              simulate_L_paths)
@@ -161,13 +160,12 @@ def test_corollary_case_estimated_statistic_matches_plain_limit():
     assert shark_fin(500.0, p) == 0.0
     assert distortion(500.0, p) == pytest.approx(1.0, abs=1e-12)
 
-    cfg = WindowConfig(1000.0, (h,), 5.0)
     vals = []
     for r in range(300):
         seq = simulate_compound(model, seed=71, stream=(r,))
         est = window_estimate_series(seq, np.array([500.0]), h, 1)
         vals.append(est.count_diff[0] / est.s_hat[0])
-    grid, ref = simulate_L_paths(cfg, p, seed=72, n_paths=1200)
+    grid, ref = simulate_L_paths(p, 5.0, seed=72, n_paths=1200)
     ref_c = ref[:, np.searchsorted(grid, 500.0)]
     assert ks_statistic_2samp(np.asarray(vals), ref_c) \
         < ks_critical_2samp(0.01, 300, 1200)
@@ -316,10 +314,18 @@ def test_reports_reproducible_bit_exactly():
 
 
 def test_trend_criteria_require_three_levels():
-    # two scales are never enough to claim a convergence trend
+    # two scales are never enough to claim a convergence trend, and the
+    # report says so, also where both scales converged or both errors fell
+    note = "a trend needs at least three scales, got 2"
     rep = check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (1, 16),
                          n_reps=200, seed=10)
-    assert not rep.passed
+    assert not rep.passed and note in rep.notes
+    for rep in (check_H0_limit(RenewalSpec.gamma(1, 1), 1000.0, 150.0, (4, 16),
+                               n_reps=60, seed=3),
+                check_alternative_limit(DISTORTION_A, 150.0, (4, 16), n_reps=60, seed=3),
+                check_window_lln(DISTORTION_B, 150.0, (16, 64), seed=3)):
+        assert not rep.passed and not rep.details["criteria"]["trend"]
+        assert note in rep.notes, (rep.experiment, rep.notes)
 
 
 # ---------------------------------------------------------------------------

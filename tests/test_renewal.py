@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_count, life_times
@@ -216,6 +216,8 @@ def test_window_config_validation():
         WindowConfig(1000.0, (1e-10,), 5.0)       # h rounds to zero steps
     with pytest.raises(ConfigurationError, match="shorter than one grid step"):
         WindowConfig(1000.0, (150.0,), 5.0).grid_indices(1e-10)
+    with pytest.raises(ConfigurationError, match="leaves no grid node"):
+        WindowConfig(1999.999999, (999.9999995,), 1.0)  # 1000 steps, 1999-step lattice
     with pytest.raises(ValueError):
         WindowConfig(1000.0, (), 5.0)
     with pytest.raises(ValueError):
@@ -269,6 +271,19 @@ def test_alignment_refuses_other_values_naming_the_quantity(step, k, sign, exces
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"change point {x} is not a multiple")):
         cfg.lattice_index(x, "change point")
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=st.floats(1e-3, 10.0), k=st.integers(1, 500), extra=st.integers(1, 2000),
+       frac=st.floats(-1e-6, 1.0), rel=st.floats(-0.9 * _ALIGN_RTOL, 0.9 * _ALIGN_RTOL))
+# T and h just below 1000 and 150 steps, where a separate floor of (T - h)/step
+# once put the last window one node past the lattice
+@example(step=1.0, k=150, extra=700, frac=-5e-8, rel=-2 / 3 * 1e-9)
+def test_window_grid_ends_on_the_last_lattice_node(step, k, extra, frac, rel):
+    h = k * step * (1.0 + rel)
+    cfg = WindowConfig(step * (2 * k + extra + frac), (h,), step)
+    j = cfg.grid_indices(h)
+    assert j[0] == k and j[-1] + k == cfg.lattice_size()
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +343,7 @@ LINE_6 = "# horizon=10\n1.0\n\n# note\n2.0\n{}\n3.0\nzz\n".format
     ("# horizon=10\n1.0\n  \n\t# note\n2.0\n1.5\n", "line 6: .*does not increase"),
     ("# horizon=10\n1.0\n2.0\n2.0\n3.0\n", "line 4: .*does not increase past 2.0"),
     ("# horizon=10\n-1.0\n", "line 2: .*does not increase past 0.0"),
+    ("# horizon=10\n1.0\n2.0\n11.0\n", "line 4: event time 11.0 exceeds horizon 10.0"),
     ("# horizon=10\n1.0\n2.0 3.0\n", "line 3: not a number"),
     ("# horizon=10\n1 2\n3 4\n", "line 2: not a number"),
     ("# horizon=10\n1.0\nx1\n2.0\n# horizon=nan\n", "line 3: not a number"),
@@ -338,7 +354,7 @@ LINE_6 = "# horizon=10\n1.0\n\n# note\n2.0\n{}\n3.0\nzz\n".format
     ("1.0\n2.0", "line 1: missing '# horizon=' header"),
     ("# run 3\n\n", "missing '# horizon=' header")],
     ids=["nan", "inf", "-inf", "decrease", "equal", "non_number", "decrease_after_blank",
-         "repeat", "negative", "two_numbers", "two_columns", "non_number_first",
+         "repeat", "negative", "past_horizon", "two_numbers", "two_columns", "non_number_first",
          "decrease_first", "header_first", "decrease_before_bad_header", "bad_header",
          "no_header", "comments_only"])
 def test_event_file_errors_name_their_line(tmp_path, text, message):

@@ -373,42 +373,36 @@ def test_detection_bound_cases():
 
 
 def test_simulate_L_deterministic_and_flat_reduces_to_null_form():
-    cfg = WindowConfig(1000.0, (150.0,), 5.0)
-    _, a = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
-    _, b = simulate_L_paths(cfg, ROW_A, seed=5, n_paths=1)
+    _, a = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1)
+    _, b = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1)
     assert np.array_equal(a, b)
     # without a change every lattice step has the same weight, so the
     # path cannot depend on where c sits
-    _, flat1 = simulate_L_paths(cfg, FLAT, seed=6, n_paths=1)
-    _, flat2 = simulate_L_paths(cfg, TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
-                                                  T=1000.0, h=150.0),
+    _, flat1 = simulate_L_paths(FLAT, 5.0, seed=6, n_paths=1)
+    _, flat2 = simulate_L_paths(TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
+                                             T=1000.0, h=150.0), 5.0,
                                 seed=6, n_paths=1)
     assert np.allclose(flat1, flat2, atol=1e-10)
 
 
 def test_simulate_L_paths_do_not_depend_on_chunking():
     # T/step = 1000 lattice steps: 300 paths span several row chunks
-    cfg = WindowConfig(1000.0, (150.0,), 1.0)
-    grid, many = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=300)
-    _, few = simulate_L_paths(cfg, ROW_A, seed=8, n_paths=7)
+    grid, many = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=300)
+    _, few = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=7)
     assert np.array_equal(many[:7], few)
-    assert np.array_equal(simulate_L_paths(cfg, ROW_A, seed=8, n_paths=1)[1], few[:1])
+    assert np.array_equal(simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=1)[1], few[:1])
     assert np.isfinite(many).all() and grid.size == many.shape[1]
 
 
 def test_simulate_L_rejects_misaligned_configuration():
-    cfg = WindowConfig(1000.0, (150.0,), 5.0)
     off = TheoryParams(1.0, 0.05, 1.0, 1 / 400, c=501.0, T=1000.0, h=150.0)
-    with pytest.raises(ConfigurationError):
-        simulate_L_paths(cfg, off, seed=1, n_paths=1)
-    with pytest.raises(ConfigurationError):
-        simulate_L_paths(WindowConfig(900.0, (150.0,), 5.0), ROW_A, seed=1, n_paths=1)
+    with pytest.raises(ConfigurationError, match="change point 501.0"):
+        simulate_L_paths(off, 5.0, seed=1, n_paths=1)
 
 
 def test_simulate_L_lag_decorrelation():
     p = TheoryParams.from_model(DISTORTION_A, 150.0)
-    cfg = WindowConfig(1000.0, (150.0,), 5.0)
-    grid, paths = simulate_L_paths(cfg, p, seed=12, n_paths=10000)
+    grid, paths = simulate_L_paths(p, 5.0, seed=12, n_paths=10000)
     j1 = np.searchsorted(grid, 150.0)
     j2 = np.searchsorted(grid, 850.0)
     corr = np.corrcoef(paths[:, j1], paths[:, j2])[0, 1]
@@ -417,8 +411,7 @@ def test_simulate_L_lag_decorrelation():
 
 def test_simulate_L_unit_variance_quick():
     p = TheoryParams.from_model(DISTORTION_A, 150.0)
-    cfg = WindowConfig(1000.0, (150.0,), 5.0)
-    grid, paths = simulate_L_paths(cfg, p, seed=13, n_paths=4000)
+    grid, paths = simulate_L_paths(p, 5.0, seed=13, n_paths=4000)
     for t in (150.0, 500.0, 850.0):
         v = paths[:, np.searchsorted(grid, t)].var(ddof=1)
         assert abs(v - 1.0) < 0.08
@@ -456,8 +449,7 @@ L_COV_CASES = {**ORIENTATION_MODELS, "distortion_a": DISTORTION_A,
 @pytest.mark.parametrize("name", sorted(L_COV_CASES))
 def test_simulate_L_covariance_matches_definition(name):
     p = TheoryParams.from_model(L_COV_CASES[name], 150.0)
-    cfg = WindowConfig(p.T, (p.h,), 5.0)
-    grid, paths = simulate_L_paths(cfg, p, seed=19, n_paths=L_COV_PATHS)
+    grid, paths = simulate_L_paths(p, 5.0, seed=19, n_paths=L_COV_PATHS)
     h, lo, hi = p.h, grid[0], grid[-1]
     nodes = (p.c - h, p.c - h / 2, p.c, p.c + h / 2, p.c + h)
     lags = (0.0, h / 2, h, 3 * h / 2, 2 * h, 5 * h / 2)
