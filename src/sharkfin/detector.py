@@ -106,22 +106,6 @@ class ThresholdTable:
     Q: float
     per_h_max_quantiles: dict
 
-    def __post_init__(self):
-        q = self.per_h_max_quantiles
-        for ok, why in [
-                (math.isfinite(self.Q), f"Q must be finite, got {self.Q}"),
-                *[(0.0 < v < math.inf, f"{name} must be finite and positive, got {v}")
-                  for name, v in (("T", self.T), ("grid_step", self.grid_step))],
-                (0.0 < self.alpha < 1.0, f"alpha must lie in (0, 1), got {self.alpha}"),
-                (self.n_sims >= 100, f"n_sims must be at least 100, got {self.n_sims}"),
-                (len(self.h_set) > 0, "h_set must not be empty"),
-                (set(q) == set(self.h_set), f"per_h_max_quantiles keys {sorted(q)} "
-                                            f"differ from h_set {list(self.h_set)}"),
-                (all(map(math.isfinite, q.values())),
-                 "per_h_max_quantiles must all be finite")]:
-            if not ok:
-                raise ConfigurationError(why)
-
     def cache_key(self) -> str:
         return threshold_cache_key(self.T, self.h_set, self.grid_step,
                                    self.alpha, self.n_sims, self.seed)
@@ -151,23 +135,39 @@ class ThresholdTable:
             try:
                 return convert(d[name])
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad or missing field {name!r}") from exc
+                raise ConfigurationError(
+                    f"threshold table {path}: bad or missing field {name!r}") from exc
 
-        try:
-            if not isinstance(d, dict):
-                raise ConfigurationError("not a JSON object")
-            if d.get("version") != TABLE_VERSION:
-                raise ConfigurationError(f"version must be {TABLE_VERSION}, got "
-                                         f"{d.get('version')!r}; rebuild the table")
-            return cls(alpha=field("alpha", float),
-                       h_set=field("h_set", lambda v: tuple(sorted(float(h) for h in v))),
-                       T=field("T", float), grid_step=field("grid_step", float),
-                       n_sims=field("n_sims", int), seed=field("seed", int),
-                       Q=field("Q", float),
-                       per_h_max_quantiles=field("per_h_max_quantiles", lambda v: {
-                           float(h): float(q) for h, q in v.items()}))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"threshold table {path}: {exc}") from exc.__cause__
+        def require(ok, name, why):
+            if not ok:
+                raise ConfigurationError(f"threshold table {path}: {name} {why}")
+
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"threshold table {path}: not a JSON object")
+        require(d.get("version") == TABLE_VERSION, "version",
+                f"must be {TABLE_VERSION}, got {d.get('version')!r}; rebuild the table")
+        table = cls(alpha=field("alpha", float),
+                    h_set=field("h_set", lambda v: tuple(sorted(float(h) for h in v))),
+                    T=field("T", float), grid_step=field("grid_step", float),
+                    n_sims=field("n_sims", int), seed=field("seed", int),
+                    Q=field("Q", float),
+                    per_h_max_quantiles=field("per_h_max_quantiles", lambda v: {
+                        float(h): float(q) for h, q in v.items()}))
+        require(math.isfinite(table.Q), "Q", f"must be finite, got {table.Q}")
+        for name in ("T", "grid_step"):
+            value = getattr(table, name)
+            require(0.0 < value < math.inf, name, f"must be finite and positive, got {value}")
+        require(0.0 < table.alpha < 1.0, "alpha",
+                f"must lie in (0, 1), got {table.alpha}")
+        require(table.n_sims >= 100, "n_sims",
+                f"must be at least 100, got {table.n_sims}")
+        require(len(table.h_set) > 0, "h_set", "must not be empty")
+        require(set(table.per_h_max_quantiles) == set(table.h_set),
+                "per_h_max_quantiles", f"keys {sorted(table.per_h_max_quantiles)} "
+                f"differ from h_set {list(table.h_set)}")
+        require(all(math.isfinite(q) for q in table.per_h_max_quantiles.values()),
+                "per_h_max_quantiles", "must all be finite")
+        return table
 
 
 def simulate_threshold(T: float, h_set, grid_step: float, alpha: float, n_sims: int,

@@ -187,7 +187,7 @@ def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
                          "final_critical": critical, "step_allowance": allowance}
     report.details.update(n_reps=n_reps, n_ref=n_ref)
     converged = all(max(row) < critical for row in trend_ks)
-    if converged:
+    if converged and len(report.n_levels) >= 3:
         report.notes.append(f"{converged_note}; no trend demanded of pure noise")
     trend_ok = converged or _net_decrease_ok(means, allowance)
     return _verdict(report, trend=(trend_ok, None if converged else trend_note),

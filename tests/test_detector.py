@@ -369,13 +369,6 @@ def test_threshold_table_load_rejects_unusable_fields(tmp_path, field, value,
     assert str(path) in str(err.value) and message in str(err.value)
 
 
-def test_threshold_table_built_in_code_checks_its_fields():
-    # a NaN Q compares false with every maximum, so detect would never reject
-    with pytest.raises(ConfigurationError, match="Q must be finite, got nan"):
-        ThresholdTable(alpha=0.05, h_set=(150.0,), T=1000.0, grid_step=5.0, n_sims=1000,
-                       seed=0, Q=math.nan, per_h_max_quantiles={150.0: 3.0})
-
-
 # T and h lie within the alignment tolerance below 1000 and 150 steps: the
 # lattice ends at node 999, and the grid of h must end at node 849
 EDGE_T, EDGE_H = 999.99999995, 149.9999999

@@ -18,8 +18,8 @@ from sharkfin.lab import (check_H0_limit, check_alternative_limit,
                           check_window_variance_forms, ks_critical_2samp,
                           ks_statistic_2samp, run_verification_suite)
 from sharkfin.presets import DISTORTION_A, DISTORTION_B, SHARK_WEST
-from sharkfin.renewal import (ChangePointModel, RenewalSpec, process_map, simulate_compound, simulate_renewal,
-                              worker_count)
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, process_map,
+                              simulate_compound, simulate_renewal, worker_count)
 from sharkfin.theory import (TheoryParams, distortion, shark_fin,
                              simulate_L_paths)
 
@@ -326,6 +326,7 @@ def test_trend_criteria_require_three_levels():
                 check_window_lln(DISTORTION_B, 150.0, (16, 64), seed=3)):
         assert not rep.passed and not rep.details["criteria"]["trend"]
         assert note in rep.notes, (rep.experiment, rep.notes)
+        assert not any("pure noise" in n for n in rep.notes), rep.notes
 
 
 # ---------------------------------------------------------------------------
