@@ -146,52 +146,62 @@ class LabReport:
         return "\n".join(lines)
 
 
-def _net_decrease_ok(values, allowance: float) -> bool:
-    """Net decrease first->last with per-step increases within the allowance."""
-    steps_ok = all(b <= a + allowance for a, b in zip(values, values[1:]))
-    return values[-1] < values[0] and steps_ok
+def _decreasing(v, allowance=None):
+    """Rows of v strictly decreasing, or net first->last with rises within allowance."""
+    v = np.atleast_2d(v)
+    if allowance is None:
+        return np.all(v[:, 1:] < v[:, :-1])
+    return np.all(v[:, 1:] <= v[:, :-1] + allowance) and np.all(v[:, -1] < v[:, 0])
 
 
-def _strictly_decreasing(values) -> bool:
-    return all(b < a for a, b in zip(values, values[1:]))
+_RELATIONS = {"<": lambda v, t: np.all(v < t), "<=": lambda v, t: np.all(v <= t),
+              ">": lambda v, t: np.any(v > t), "decreasing": _decreasing}
 
 
-def _verdict(report: LabReport, **criteria) -> LabReport:
-    """Record criteria given as name=(holds, note if it fails); pass iff all hold.
-    A trend criterion fails below three scales, whatever it says."""
-    if "trend" in criteria and len(report.n_levels) < 3:
-        criteria["trend"] = (False, "a trend needs at least three scales, "
-                                    f"got {len(report.n_levels)}")
-    report.details["criteria"] = {name: ok for name, (ok, _) in criteria.items()}
-    report.passed = all(ok for ok, _ in criteria.values())
-    report.notes += [note for ok, note in criteria.values() if not ok and note]
+def _holds(report: LabReport, values, relation: str, key) -> bool:
+    """Whether values stand in relation to the threshold recorded under key:
+    all below it ("<") or at most it ("<="), some above it (">"), or
+    "decreasing" with it as per-step allowance (no key: strictly)."""
+    threshold = None if key is None else report.thresholds[key]
+    return bool(_RELATIONS[relation](np.asarray(values, dtype=float), threshold))
+
+
+def _verdict(report: LabReport, waiver=None, **criteria) -> LabReport:
+    """Record criteria name=(values, relation, threshold key, note if it fails)
+    and pass iff all hold.  A trend fails below three scales, whatever it says;
+    else a waiver of the same form that holds passes it, with the waiver's note."""
+    held = {name: _holds(report, *c[:3]) for name, c in criteria.items()}
+    notes = {name: c[3] for name, c in criteria.items()}
+    if "trend" in held and len(report.n_levels) < 3:
+        held["trend"] = False
+        notes["trend"] = f"a trend needs at least three scales, got {len(report.n_levels)}"
+    elif "trend" in held and waiver and _holds(report, *waiver[:3]):
+        held["trend"] = True
+        report.notes.append(waiver[3])
+    report.details["criteria"] = held
+    report.passed = all(held.values())
+    report.notes += [notes[name] for name, ok in held.items() if not ok]
     return report
 
 
 def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
                 trend_metric: str, trend_ks, final_ks, *, tests_key: str,
                 converged_note: str, trend_note: str) -> LabReport:
-    """The KS criteria of the limit checks.
-
-    trend_ks holds, per scale, the per-probe KS distances of the suite
-    whose probe mean (recorded as trend_metric) must show a net decrease
-    with per-step increases within the allowance, unless every scale is
-    already below the critical value.  Every distance in final_ks (the
-    last scale of every suite) must beat the critical value at level
-    alpha, Bonferroni-corrected over len(final_ks) tests.
-    """
+    """The KS criteria of the limit checks: the probe mean of trend_ks (per
+    scale, per probe; recorded as trend_metric) decreases net across the
+    scales, unless every distance in it is already below the critical value
+    at level alpha, Bonferroni-corrected over the len(final_ks) tests, and
+    every distance in final_ks (the last scale of every suite) is below it."""
     allowance = 2.0 * _KS_SD * math.sqrt((n_reps + n_ref) / (n_reps * n_ref))
     critical = ks_critical_2samp(alpha / len(final_ks), n_reps, n_ref)
     means = report.metrics[trend_metric] = [float(np.mean(row)) for row in trend_ks]
     report.thresholds = {"alpha": alpha, tests_key: len(final_ks),
                          "final_critical": critical, "step_allowance": allowance}
     report.details.update(n_reps=n_reps, n_ref=n_ref)
-    converged = all(max(row) < critical for row in trend_ks)
-    if converged and len(report.n_levels) >= 3:
-        report.notes.append(f"{converged_note}; no trend demanded of pure noise")
-    trend_ok = converged or _net_decrease_ok(means, allowance)
-    return _verdict(report, trend=(trend_ok, None if converged else trend_note),
-                    final_level=(max(final_ks) < critical,
+    return _verdict(report, waiver=(trend_ks, "<", "final_critical",
+                                    f"{converged_note}; no trend demanded of pure noise"),
+                    trend=(means, "decreasing", "step_allowance", trend_note),
+                    final_level=(final_ks, "<", "final_critical",
                                  "final-level KS above critical value"))
 
 
@@ -287,15 +297,14 @@ def _sup_norm_row(model, h, grid, seed, errors, li, n, r) -> dict:
     return errors(window_estimate_series(seq, grid, h, n), n)
 
 
-def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
-                    grid: np.ndarray, seed: int, final_tol: float, errors) -> bool:
+def _sup_norm_verdict(report: LabReport, model: ChangePointModel, h: float,
+                      grid: np.ndarray, seed: int, final_tol: float, errors,
+                      gated, trend_note: str, final_note: str) -> LabReport:
     """Record, per scale, the mean over _SUP_NORM_REPS replicates of each
-    sup-norm error on grid.
-
+    sup-norm error on grid, and the verdict: every error decreasing strictly
+    across the scales, and the final errors named in gated below final_tol.
     errors(est, n), a partial of a module-level function, maps one
-    replicate's window estimates at scale n to {metric name: sup-norm
-    error}.  Returns the trend criterion: every error decreasing strictly
-    across the scales.
+    replicate's window estimates at scale n to {metric name: sup-norm error}.
     """
     row = partial(_sup_norm_row, model, h, grid, seed, errors)
     for reps in _replicate_rows(row, report.n_levels, _SUP_NORM_REPS):
@@ -303,7 +312,10 @@ def _sup_norm_trend(report: LabReport, model: ChangePointModel, h: float,
             report.metrics.setdefault(name, []).append(
                 float(np.mean([e[name] for e in reps])))
     report.thresholds = {"final_tol": final_tol, "n_reps": _SUP_NORM_REPS}
-    return all(_strictly_decreasing(v) for v in report.metrics.values())
+    final = [v[-1] for name, v in report.metrics.items() if name in gated]
+    return _verdict(report, trend=(list(report.metrics.values()), "decreasing", None,
+                                   trend_note),
+                    final_level=(final, "<", "final_tol", final_note))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +388,9 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     only (the second keeps an O(1) remainder near the change point, see
     the module docstring); the final scale must pass per-probe KS gates
     in both suites at level 0.01, Bonferroni-corrected across all tests.
-    Probes and the change point sit on the grid of step h/30.
+    Probes and the change point sit on the grid of step h/30.  Where s_hat
+    is 0 at a probe in every replicate of a scale, the second suite has no
+    sample there, and the report fails with a note naming both.
     """
     report, cfg, model, p1 = _setup("alternative_limit", seed, n_levels, h,
                                     model.T, model)
@@ -393,8 +407,13 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
                   delta_t, seed)
 
     ks_gamma, ks_g = [], []
-    for rows in _replicate_rows(row, report.n_levels, n_reps):
+    for n, rows in zip(report.n_levels, _replicate_rows(row, report.n_levels, n_reps)):
         gam, gcen = np.array(rows).transpose(1, 0, 2)
+        empty = np.isnan(gcen).all(axis=0)
+        if empty.any():
+            report.notes.append(f"s_hat is 0 at probe {probes[empty][0]} in every "
+                                f"replicate at scale {n}: no estimated-scaling sample")
+            return report
         ks_gamma.append([ks_statistic_2samp(gam[:, j], ref[:, j])
                          for j in range(probes.size)])
         ks_g.append([ks_statistic_2samp(gcen[~np.isnan(gcen[:, j]), j],
@@ -429,11 +448,10 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
     grid = cfg.grid(h)
     errors = partial(_rate_errors, h, 1.0 / mu_ri_theory(grid, p1),
                      1.0 / mu_le_theory(grid, p1))
-    trend_ok = _sup_norm_trend(report, model, h, grid, seed, final_tol, errors)
-    return _verdict(
-        report, trend=(trend_ok, "sup-norm rate error did not decrease across scales"),
-        final_level=(all(v[-1] < final_tol for v in report.metrics.values()),
-                     f"final sup-norm rate error above {final_tol}"))
+    return _sup_norm_verdict(report, model, h, grid, seed, final_tol, errors,
+                             ("sup_rate_error_right", "sup_rate_error_left"),
+                             "sup-norm rate error did not decrease across scales",
+                             f"final sup-norm rate error above {final_tol}")
 
 
 def _estimator_errors(grid, p1, mu_ri, sig_ri, delta_t, est, n) -> dict:
@@ -459,11 +477,10 @@ def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,
     grid = cfg.grid(h)
     errors = partial(_estimator_errors, grid, p1, mu_ri_theory(grid, p1),
                      sigma2_ri_theory(grid, p1), distortion(grid, p1))
-    trend_ok = _sup_norm_trend(report, model, h, grid, seed, _RATIO_FINAL_TOL, errors)
-    return _verdict(
-        report, trend=(trend_ok, "some sup-norm error did not decrease strictly"),
-        final_level=(report.metrics["sup_scaling_ratio_error"][-1] < _RATIO_FINAL_TOL,
-                     f"final scaling-ratio error above {_RATIO_FINAL_TOL}"))
+    return _sup_norm_verdict(report, model, h, grid, seed, _RATIO_FINAL_TOL, errors,
+                             ("sup_scaling_ratio_error",),
+                             "some sup-norm error did not decrease strictly",
+                             f"final scaling-ratio error above {_RATIO_FINAL_TOL}")
 
 
 def _variance_row(observed, probes, h, seed, li, n, r) -> np.ndarray:
@@ -510,9 +527,9 @@ def check_window_variance_forms(model: ChangePointModel, h: float, seed: int,
         "rel_dev_mixture": dev_mix.tolist(), "rel_dev_sum_variant": dev_alt.tolist(),
     }
     _verdict(report,
-             mixture_within_tol=(bool(np.all(dev_mix <= _VARIANCE_REL_TOL)),
+             mixture_within_tol=(dev_mix, "<=", "rel_tol",
                                  "mixture form missed the simulated window variance"),
-             sum_variant_rejected=(bool(np.any(dev_alt > _VARIANCE_REL_TOL)),
+             sum_variant_rejected=(dev_alt, ">", "rel_tol",
                                    "sum-cross-term variant was not distinguishable"))
     if math.isclose(model.phi1.mu, model.phi2.mu, rel_tol=1e-12):
         report.notes.append("mu1 == mu2: the two forms coincide; adjudication is vacuous")
@@ -527,11 +544,27 @@ def run_verification_suite(seed: int = DEFAULT_SUITE_SEED,
                            scale: str = "full") -> list:
     """Run the default verification experiments and return their reports.
 
-    scale="full" uses replication levels sized so that every criterion
-    is met with margin; "smoke" is a fast variant for CI-style runs.
-    The replicates run on one `process_map` with a worker per available
-    CPU (`worker_count`); the reports are byte-identical to those of the
-    checks called directly, which run in-process.
+    scale="full" uses the larger replication levels; "smoke" is a fast
+    variant for CI-style runs.  Neither passes at every seed:
+
+    * h0_limit's final level is a KS test at level 0.05, Bonferroni-
+      corrected over its probes, so by design it fails up to 5 % of seeds;
+      alternative_limit's is at level 0.01, so up to 1 %.  The trend
+      allowances and the sup-norm and variance-form tolerances are fixed
+      margins, not tests at a level: their false-failure rates are only
+      measured.
+    * alternative_limit fails more often than its level at full size (9
+      of seeds 1-40, each at its final level): near c the estimated-
+      scaling statistic keeps an O(1) spread (see the module docstring),
+      measured as sd/Delta 0.77-0.81 at c - h/2 against the limit's 1,
+      which the KS gate at 400 replicates sees.
+
+    Measured at seeds 1-40, the full suite passes at 27 (alternative_limit
+    fails 9, h0_limit 4) and the smoke suite at 38 (window_variance_forms
+    fails seed 26, alternative_limit seed 28).  The replicates run on one
+    `process_map` with a worker per available CPU (`worker_count`); the
+    reports are byte-identical to those of the checks called directly,
+    which run in-process.
     """
     if scale not in ("full", "smoke"):
         raise ValueError(f"scale must be 'full' or 'smoke', got {scale!r}")

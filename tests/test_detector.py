@@ -429,9 +429,11 @@ def test_estimate_exclusion_interval_is_open():
 
 
 def test_estimate_nothing_above_threshold():
+    # the search stops at a remaining maximum of Q or below, Q itself included
     grid = np.arange(0.0, 1001.0, 10.0)
-    found = estimate_change_points(make_series(grid, np.ones(grid.size)),
-                                   Q=3.0, h=150.0)
+    values = np.ones(grid.size)
+    values[30] = -3.0
+    found = estimate_change_points(make_series(grid, values), Q=3.0, h=150.0)
     assert found == []
 
 

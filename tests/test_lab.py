@@ -9,6 +9,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ks_critical_normal, ks_statistic_normal
 from sharkfin import lab
@@ -21,7 +23,7 @@ from sharkfin.presets import DISTORTION_A, DISTORTION_B, SHARK_WEST
 from sharkfin.renewal import (ChangePointModel, RenewalSpec, process_map,
                               simulate_compound, simulate_renewal, worker_count)
 from sharkfin.theory import (TheoryParams, distortion, shark_fin,
-                             simulate_L_paths)
+                             sigma2_ri_theory, simulate_L_paths)
 
 
 def report_json(report):
@@ -89,6 +91,16 @@ def test_window_variance_forms_without_replicates_fail_with_note(n_reps):
     rep = check_window_variance_forms(SHARK_WEST, 150.0, seed=0, n_reps=n_reps)
     assert not rep.passed and not rep.metrics
     assert rep.notes == [f"insufficient replicates (n_reps={n_reps})"]
+
+
+def test_alternative_limit_without_estimated_sample_fails_with_note():
+    # life times of mean 200, then 100: a window of h = 150 often holds
+    # none, and s_hat is 0 at c - h/2 in every replicate at scale 1
+    model = ChangePointModel(RenewalSpec(1, 0.005), RenewalSpec(1, 0.01), 500.0, 1000.0)
+    rep = check_alternative_limit(model, 150.0, (1, 4, 16), n_reps=4, seed=1)
+    assert not rep.passed and "criteria" not in rep.details
+    assert rep.notes == ["s_hat is 0 at probe 425.0 in every replicate at scale 1: "
+                         "no estimated-scaling sample"]
 
 
 @pytest.mark.parametrize("check, kwargs", [
@@ -260,6 +272,175 @@ def test_window_variance_forms_smoke():
     assert rep.metrics["max_rel_dev_mixture"][0] < 0.02
     assert rep.metrics["max_rel_dev_sum_variant"][0] > 0.02
     assert len(rep.details["probes"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# verdicts at their recorded thresholds: no simulation
+
+TOL = 0.05
+BELOW, ABOVE = np.nextafter(TOL, 0.0), np.nextafter(TOL, 1.0)
+
+
+def verdict(n_levels=(1, 4, 16), thresholds=None, **criteria):
+    report = lab.LabReport("gate", 0, list(n_levels),
+                           thresholds={"tol": TOL} if thresholds is None else thresholds)
+    return lab._verdict(report, **criteria)
+
+
+@pytest.mark.parametrize("relation, values, holds", [
+    ("<", [BELOW], True), ("<", [TOL], False), ("<", [ABOVE], False),
+    ("<=", [BELOW], True), ("<=", [TOL], True), ("<=", [ABOVE], False),
+    (">", [BELOW], False), (">", [TOL], False), (">", [ABOVE], True),
+    # "<" and "<=" hold for every value, ">" for some; NaN compares false
+    ("<", [0.0, ABOVE], False), ("<", [0.0, np.nan], False),
+    ("<=", [[0.0, 0.0], [0.0, ABOVE]], False), ("<=", [np.nan], False),
+    (">", [0.0, ABOVE], True), (">", [np.nan, ABOVE], True), (">", [np.nan], False),
+])
+def test_verdict_flips_at_the_recorded_threshold(relation, values, holds):
+    rep = verdict(gate=(values, relation, "tol", "gate missed"))
+    assert rep.passed is holds
+    assert rep.details["criteria"] == {"gate": holds}
+    assert rep.notes == ([] if holds else ["gate missed"])
+
+
+A = 0.25  # a per-step allowance
+
+
+@pytest.mark.parametrize("values, key, holds", [
+    # net decrease: rises up to the allowance, last below first
+    ([1.0, 1.0 + A, 0.5], "step_allowance", True),
+    ([1.0, np.nextafter(1.0 + A, 2.0), 0.5], "step_allowance", False),
+    ([1.0, 0.75, np.nextafter(1.0, 0.0)], "step_allowance", True),
+    ([1.0, 0.75, 1.0], "step_allowance", False),
+    # strict decrease without a key: an equal step fails
+    ([3.0, 2.0, 1.0], None, True),
+    ([3.0, 2.0, 2.0], None, False),
+    ([[3.0, 2.0, 1.0], [3.0, 3.0, 1.0]], None, False),
+])
+def test_trend_flips_at_the_recorded_allowance(values, key, holds):
+    rep = verdict(thresholds={"step_allowance": A},
+                  trend=(values, "decreasing", key, "no decrease"))
+    assert rep.passed is holds
+    assert rep.notes == ([] if holds else ["no decrease"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf, math.nan]),
+                min_size=1, max_size=5),
+       st.sampled_from([None, 0.0, A]))
+def test_trend_matches_the_step_loops(values, allowance):
+    # the loops the trend predicate replaced, NaN and infinities included
+    steps = zip(values, values[1:])
+    if allowance is None:
+        expected = all(b < a for a, b in steps)
+    else:
+        expected = values[-1] < values[0] and all(b <= a + allowance for a, b in steps)
+    key = None if allowance is None else "step_allowance"
+    rep = verdict(thresholds={"step_allowance": allowance},
+                  trend=(values, "decreasing", key, "no decrease"))
+    assert rep.passed is expected
+
+
+@pytest.mark.parametrize("waived_at, holds", [(BELOW, True), (TOL, False)])
+def test_trend_waived_where_every_distance_is_below_the_threshold(waived_at, holds):
+    rep = verdict(thresholds={"tol": TOL, "step_allowance": A},
+                  waiver=([[0.0, waived_at], [0.0, 0.0], [0.0, 0.0]], "<", "tol",
+                          "converged"),
+                  trend=([0.1, 0.2, 0.3], "decreasing", "step_allowance", "no decrease"))
+    assert rep.passed is holds
+    assert rep.notes == (["converged"] if holds else ["no decrease"])
+
+
+def test_trend_needs_three_scales_whatever_it_says():
+    rep = verdict(n_levels=(1, 4), thresholds={"tol": TOL},
+                  waiver=([0.0], "<", "tol", "converged"),
+                  trend=([2.0, 1.0], "decreasing", None, "no decrease"),
+                  final_level=([0.0], "<", "tol", "final level missed"))
+    assert not rep.passed
+    assert rep.details["criteria"] == {"trend": False, "final_level": True}
+    assert rep.notes == ["a trend needs at least three scales, got 2"]
+
+
+@pytest.mark.parametrize("criteria", [
+    dict(final_level=([0.0], "<", "final_tol", "missed")),
+    dict(waiver=([0.0], "<", "final_critical", "converged"),
+         trend=([3.0, 2.0, 1.0], "decreasing", None, "no decrease")),
+], ids=["criterion", "waiver"])
+def test_verdict_raises_on_an_unrecorded_threshold(criteria):
+    with pytest.raises(KeyError):
+        verdict(**criteria)
+
+
+def replicate_rows_returning(monkeypatch, levels):
+    """Make every check read `levels`, a list per level of replicate rows."""
+    monkeypatch.setattr(lab, "_replicate_rows", lambda row, n_levels, n_reps: levels)
+
+
+@pytest.mark.parametrize("factor, holds", [(0.99, True), (1.01, False), (1.5, False)])
+def test_window_lln_gates_every_final_error_at_final_tol(monkeypatch, factor, holds):
+    tol = 0.12
+    for gated in ("sup_rate_error_right", "sup_rate_error_left"):
+        errors = [{"sup_rate_error_right": e, "sup_rate_error_left": e}
+                  for e in (4 * tol, 2 * tol, 0.5 * tol)]
+        errors[-1][gated] = factor * tol
+        replicate_rows_returning(monkeypatch, [[e] * 3 for e in errors])
+        rep = check_window_lln(DISTORTION_B, 150.0, (4, 16, 64), seed=1, final_tol=tol)
+        assert rep.thresholds["final_tol"] == tol
+        assert rep.details["criteria"] == {"trend": True, "final_level": holds}
+        assert rep.notes == ([] if holds else [f"final sup-norm rate error above {tol}"])
+
+
+@pytest.mark.parametrize("factor, holds", [(0.99, True), (1.01, False), (2.0, False)])
+def test_estimator_consistency_gates_the_final_ratio_error(monkeypatch, factor, holds):
+    # only the scaling-ratio error is gated; every error must fall strictly
+    tol = 0.05
+    errors = [{"sup_mu_right_error": e, "sup_sigma2_right_error": e,
+               "sup_scaling_ratio_error": e} for e in (40 * tol, 20 * tol, 10 * tol)]
+    errors[-1]["sup_scaling_ratio_error"] = factor * tol
+    replicate_rows_returning(monkeypatch, [[e] * 3 for e in errors])
+    rep = check_estimator_consistency(DISTORTION_A, 150.0, (1, 4, 16), seed=1)
+    assert rep.thresholds["final_tol"] == tol
+    assert rep.details["criteria"] == {"trend": True, "final_level": holds}
+    errors[1]["sup_mu_right_error"] = errors[0]["sup_mu_right_error"]
+    replicate_rows_returning(monkeypatch, [[e] * 3 for e in errors])
+    rep = check_estimator_consistency(DISTORTION_A, 150.0, (1, 4, 16), seed=1)
+    assert rep.details["criteria"] == {"trend": False, "final_level": holds}
+    assert rep.notes[0] == "some sup-norm error did not decrease strictly"
+
+
+@pytest.mark.parametrize("factor, holds", [(0.99, True), (1.01, False), (1.5, False)])
+def test_ks_final_level_gates_at_the_critical_value(factor, holds):
+    # 600 replicates against 2400 reference paths, 5 probes at level 0.05
+    crit = ks_critical_2samp(0.05 / 5, 600, 2400)
+    per_level = [[0.5] * 5, [0.25] * 5, [0.0] * 4 + [factor * crit]]
+    rep = lab._ks_verdict(lab.LabReport("h0_limit", 0, [1, 4, 16]), 600, 2400, 0.05,
+                          "mean_ks", per_level, per_level[-1],
+                          tests_key="bonferroni_probes", converged_note="converged",
+                          trend_note="no decrease")
+    assert rep.thresholds["final_critical"] == crit
+    assert rep.details["criteria"] == {"trend": True, "final_level": holds}
+    assert rep.notes == ([] if holds else ["final-level KS above critical value"])
+
+
+@pytest.mark.parametrize("form, dev, criteria", [
+    ("mixture", 0.01, {"mixture_within_tol": True, "sum_variant_rejected": True}),
+    ("mixture", 0.03, {"mixture_within_tol": False, "sum_variant_rejected": True}),
+    ("sum_variant", 0.01, {"mixture_within_tol": False, "sum_variant_rejected": False}),
+    ("sum_variant", 0.03, {"mixture_within_tol": False, "sum_variant_rejected": True}),
+])
+def test_window_variance_forms_gate_at_rel_tol(monkeypatch, form, dev, criteria):
+    # one replicate whose right-window variances miss one form by dev at
+    # the middle probe and match it elsewhere, against rel_tol 0.02
+    h = 150.0
+    c = DISTORTION_A.c
+    probes = np.array([c - 5 * h / 6, c - 2 * h / 3, c - h / 2, c - h / 3, c - h / 6])
+    p1 = TheoryParams.from_model(DISTORTION_A, h, n=1)
+    var = sigma2_ri_theory(probes, p1, sum_cross_term=form == "sum_variant")
+    replicate_rows_returning(monkeypatch, [[var * np.array([1, 1, 1 + dev, 1, 1])]])
+    rep = check_window_variance_forms(DISTORTION_A, h, seed=0, n_reps=1)
+    assert rep.thresholds["rel_tol"] == 0.02
+    assert rep.details["criteria"] == criteria
+    assert rep.passed is all(criteria.values())
 
 
 # ---------------------------------------------------------------------------

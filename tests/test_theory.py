@@ -368,6 +368,19 @@ def test_detection_bound_cases():
         detection_bound(-1.0, ROW_A)
 
 
+def test_detection_bound_at_an_interior_law():
+    # mu 1 -> 1/1.3, sigma^2 1 -> 1/1.69: r1 = 1, r2 = 1.3, so
+    # |Lambda_c| = 0.3/sqrt(2.3)*sqrt(150) = 2.42272 and the bound at
+    # Q = 3.2 is 1 - Phi(0.77728) = 0.218496, strictly inside (0, 1)
+    p = TheoryParams(1.0, 1 / 1.3, 1.0, 1 / 1.69, 500.0, 1000.0, 150.0)
+    with mpmath.workdps(30):
+        r1, r2 = 1, mpmath.mpf(1.3) ** 3 / mpmath.mpf(1.69)
+        fin = (mpmath.mpf(1.3) - 1) / mpmath.sqrt(r1 + r2) * mpmath.sqrt(150)
+        expected = float(1 - mpmath.ncdf(mpmath.mpf(3.2) - fin))
+    assert expected == pytest.approx(0.218496, abs=1e-6)
+    assert detection_bound(3.2, p) == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # limit process simulation
 
