@@ -15,6 +15,10 @@ retire the surrounding h-neighbourhood, and repeat while the maximum
 still exceeds Q.  Estimates from different window sizes are then merged,
 smallest window first, dropping any estimate that lands within
 min(h, h') of one already accepted (finer windows localise better).
+Each estimate is one `ChangePointEstimate(location, h, value)`: the grid
+time, the window size whose series found it and the signed G there.
+`DetectionResult.change_points` holds the merged records, ascending in
+location, and is empty when the test does not reject.
 """
 
 from __future__ import annotations
@@ -138,14 +142,12 @@ class ThresholdTable:
                 raise ConfigurationError(
                     f"threshold table {path}: bad or missing field {name!r}") from exc
 
-        def require(ok, name, why):
-            if not ok:
-                raise ConfigurationError(f"threshold table {path}: {name} {why}")
-
         if not isinstance(d, dict):
             raise ConfigurationError(f"threshold table {path}: not a JSON object")
-        require(d.get("version") == TABLE_VERSION, "version",
-                f"must be {TABLE_VERSION}, got {d.get('version')!r}; rebuild the table")
+        if d.get("version") != TABLE_VERSION:
+            raise ConfigurationError(
+                f"threshold table {path}: version must be {TABLE_VERSION}, "
+                f"got {d.get('version')!r}; rebuild the table")
         table = cls(alpha=field("alpha", float),
                     h_set=field("h_set", lambda v: tuple(sorted(float(h) for h in v))),
                     T=field("T", float), grid_step=field("grid_step", float),
@@ -153,21 +155,30 @@ class ThresholdTable:
                     Q=field("Q", float),
                     per_h_max_quantiles=field("per_h_max_quantiles", lambda v: {
                         float(h): float(q) for h, q in v.items()}))
-        require(math.isfinite(table.Q), "Q", f"must be finite, got {table.Q}")
+        return table._checked(f"threshold table {path}")
+
+    def _checked(self, source: str) -> "ThresholdTable":
+        """self, or ConfigurationError prefixed with source if a field holds a
+        value that `simulate_threshold` never writes (Q = nan never rejects)."""
+        def require(ok, name, why):
+            if not ok:
+                raise ConfigurationError(f"{source}: {name} {why}")
+
+        require(math.isfinite(self.Q), "Q", f"must be finite, got {self.Q}")
         for name in ("T", "grid_step"):
-            value = getattr(table, name)
+            value = getattr(self, name)
             require(0.0 < value < math.inf, name, f"must be finite and positive, got {value}")
-        require(0.0 < table.alpha < 1.0, "alpha",
-                f"must lie in (0, 1), got {table.alpha}")
-        require(table.n_sims >= 100, "n_sims",
-                f"must be at least 100, got {table.n_sims}")
-        require(len(table.h_set) > 0, "h_set", "must not be empty")
-        require(set(table.per_h_max_quantiles) == set(table.h_set),
-                "per_h_max_quantiles", f"keys {sorted(table.per_h_max_quantiles)} "
-                f"differ from h_set {list(table.h_set)}")
-        require(all(math.isfinite(q) for q in table.per_h_max_quantiles.values()),
+        require(0.0 < self.alpha < 1.0, "alpha",
+                f"must lie in (0, 1), got {self.alpha}")
+        require(self.n_sims >= 100, "n_sims",
+                f"must be at least 100, got {self.n_sims}")
+        require(len(self.h_set) > 0, "h_set", "must not be empty")
+        require(set(self.per_h_max_quantiles) == set(self.h_set),
+                "per_h_max_quantiles", f"keys {sorted(self.per_h_max_quantiles)} "
+                f"differ from h_set {list(self.h_set)}")
+        require(all(math.isfinite(q) for q in self.per_h_max_quantiles.values()),
                 "per_h_max_quantiles", "must all be finite")
-        return table
+        return self
 
 
 def simulate_threshold(T: float, h_set, grid_step: float, alpha: float, n_sims: int,
@@ -238,10 +249,11 @@ class DetectionResult:
 def estimate_change_points(series: StatisticSeries, Q: float, h: float) -> list:
     """Successive argmax estimation on one statistic series.
 
-    Returns the ascending list of grid times found before the remaining
-    maximum drops to Q or below.  Each accepted time retires all grid
-    nodes in the open interval (t*-h, t*+h), so within one window size
-    the estimates are pairwise at least h apart.
+    Returns the records (grid time, h, signed G there) found before the
+    remaining maximum drops to Q or below, ascending in time.  Each
+    accepted time retires all grid nodes in the open interval
+    (t*-h, t*+h), so within one window size the estimates are pairwise at
+    least h apart.
     """
     magnitude = np.abs(series.values)
     alive = series.valid.copy()
@@ -252,23 +264,22 @@ def estimate_change_points(series: StatisticSeries, Q: float, h: float) -> list:
         if masked[idx] <= Q:
             break
         t_star = float(series.grid[idx])
-        found.append(t_star)
+        found.append(ChangePointEstimate(t_star, float(h), float(series.values[idx])))
         alive &= ~((series.grid > t_star - h) & (series.grid < t_star + h))
     return sorted(found)
 
 
-def merge_across_windows(per_h: Mapping[float, Iterable[float]]) -> list:
-    """Combine per-window-size estimates into one ordered list of (c, h).
+def merge_across_windows(estimates: Iterable[ChangePointEstimate]) -> list:
+    """Combine the estimates of all window sizes into one list, ascending in time.
 
-    Window sizes are processed in ascending order; an estimate is dropped
-    when it lies within min(h, h') of an already accepted one, so the
-    finer window wins ties on the same change point.
+    Estimates are taken by ascending window size, then time; one is
+    dropped when it lies within min(h, h') of an already accepted one, so
+    the finer window wins ties on the same change point.
     """
     accepted: list = []
-    for h in sorted(per_h):
-        for cand in sorted(per_h[h]):
-            if all(abs(cand - loc) >= min(h, h_prev) for loc, h_prev in accepted):
-                accepted.append((float(cand), float(h)))
+    for cand in sorted(estimates, key=lambda e: (e.h, e.location)):
+        if all(abs(cand.location - e.location) >= min(cand.h, e.h) for e in accepted):
+            accepted.append(cand)
     return sorted(accepted)
 
 
@@ -279,6 +290,7 @@ def detect(seq: EventSequence, T: float, n: int, h_set,
     The statistic uses the estimated scaling, as parameters are unknown
     in practice.  Deterministic given (seq, table).
     """
+    table._checked("threshold table")
     cfg = WindowConfig(T, h_set, table.grid_step)
     if not math.isclose(table.T, T, rel_tol=1e-12):
         raise ConfigurationError(
@@ -298,14 +310,8 @@ def detect(seq: EventSequence, T: float, n: int, h_set,
 
     change_points = ()
     if reject:
-        per_h_estimates = {h: estimate_change_points(series, table.Q, h)
-                           for h, series in per_h_series.items()}
-        merged = merge_across_windows(per_h_estimates)
-        out = []
-        for loc, h in merged:
-            series = per_h_series[h]
-            idx = int(round((loc - series.grid[0]) / table.grid_step))
-            out.append(ChangePointEstimate(loc, h, float(series.values[idx])))
-        change_points = tuple(out)
+        change_points = tuple(merge_across_windows(
+            e for h, series in per_h_series.items()
+            for e in estimate_change_points(series, table.Q, h)))
     return DetectionResult(reject=reject, Q=table.Q, global_max=global_max,
                            change_points=change_points, per_h_series=per_h_series)

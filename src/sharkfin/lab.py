@@ -305,12 +305,17 @@ def _sup_norm_verdict(report: LabReport, model: ChangePointModel, h: float,
     across the scales, and the final errors named in gated below final_tol.
     errors(est, n), a partial of a module-level function, maps one
     replicate's window estimates at scale n to {metric name: sup-norm error}.
+    An error that is nan in some replicate is nan at its scale, fails both
+    criteria and gets a note naming the scale.
     """
     row = partial(_sup_norm_row, model, h, grid, seed, errors)
-    for reps in _replicate_rows(row, report.n_levels, _SUP_NORM_REPS):
+    for n, reps in zip(report.n_levels,
+                       _replicate_rows(row, report.n_levels, _SUP_NORM_REPS)):
         for name in reps[0]:
-            report.metrics.setdefault(name, []).append(
-                float(np.mean([e[name] for e in reps])))
+            mean = float(np.mean([e[name] for e in reps]))
+            report.metrics.setdefault(name, []).append(mean)
+            if math.isnan(mean):
+                report.notes.append(f"{name} is undefined in some replicate at scale {n}")
     report.thresholds = {"final_tol": final_tol, "n_reps": _SUP_NORM_REPS}
     final = [v[-1] for name, v in report.metrics.items() if name in gated]
     return _verdict(report, trend=(list(report.metrics.values()), "decreasing", None,
@@ -455,11 +460,14 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
 
 
 def _estimator_errors(grid, p1, mu_ri, sig_ri, delta_t, est, n) -> dict:
+    """The sup-norm errors of one replicate; the ratio error is nan where
+    s_hat is 0 at every grid node."""
     s_n = s_function(grid, p1.at_scale(n))
     ok = est.s_hat > 0.0
+    ratio = np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok])
     return {"sup_mu_right_error": np.max(np.abs(est.mean_right - mu_ri)),
             "sup_sigma2_right_error": np.max(np.abs(est.var_right - sig_ri)),
-            "sup_scaling_ratio_error": np.max(np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok]))}
+            "sup_scaling_ratio_error": np.max(ratio) if ratio.size else math.nan}
 
 
 def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from oracles import null_max_quantile, null_max_tail
 from sharkfin import detector
-from sharkfin.detector import (TABLE_VERSION, ThresholdTable, _h0_block, detect,
-                               estimate_change_points, merge_across_windows,
-                               simulate_threshold, threshold_cache_key)
+from sharkfin.detector import (TABLE_VERSION, ChangePointEstimate, ThresholdTable,
+                               _h0_block, detect, estimate_change_points,
+                               merge_across_windows, simulate_threshold,
+                               threshold_cache_key)
 from sharkfin import presets
 from sharkfin.presets import SHARK_WEST
 from sharkfin.renewal import (ConfigurationError, EventSequence, RenewalSpec,
@@ -407,7 +409,7 @@ def test_estimate_two_separated_peaks():
     values[np.searchsorted(grid, 300.0)] = 10.0
     values[np.searchsorted(grid, 700.0)] = -8.0
     found = estimate_change_points(make_series(grid, values), Q=3.0, h=150.0)
-    assert found == [300.0, 700.0]
+    assert [e.location for e in found] == [300.0, 700.0]
 
 
 def test_estimate_excludes_nearby_secondary_peak():
@@ -416,7 +418,7 @@ def test_estimate_excludes_nearby_secondary_peak():
     values[np.searchsorted(grid, 300.0)] = 10.0
     values[np.searchsorted(grid, 380.0)] = 8.0     # within h of the first
     found = estimate_change_points(make_series(grid, values), Q=3.0, h=150.0)
-    assert found == [300.0]
+    assert [e.location for e in found] == [300.0]
 
 
 def test_estimate_exclusion_interval_is_open():
@@ -425,7 +427,7 @@ def test_estimate_exclusion_interval_is_open():
     values[np.searchsorted(grid, 300.0)] = 10.0
     values[np.searchsorted(grid, 450.0)] = 8.0     # exactly h away: kept
     found = estimate_change_points(make_series(grid, values), Q=3.0, h=150.0)
-    assert found == [300.0, 450.0]
+    assert [e.location for e in found] == [300.0, 450.0]
 
 
 def test_estimate_nothing_above_threshold():
@@ -453,7 +455,7 @@ def test_estimates_pairwise_separated_property():
     for _ in range(10):
         values = rng.normal(0, 3, grid.size)
         found = estimate_change_points(make_series(grid, values), Q=2.0, h=100.0)
-        gaps = np.diff(found)
+        gaps = np.diff([e.location for e in found])
         assert np.all(gaps >= 100.0)
 
 
@@ -475,22 +477,30 @@ def statistic_series(draw):
        Q=st.floats(0.0, 8.0))
 def test_estimates_property(series, h_steps, Q):
     h = h_steps * series.grid_step
-    found = estimate_change_points(series, Q, h)
+    records = estimate_change_points(series, Q, h)
+    found = [e.location for e in records]
     assert found == sorted(found)
     assert all(b - a >= h for a, b in zip(found, found[1:]))
-    for t in found:
+    for t, h_found, value in records:
         (idx,) = np.flatnonzero(series.grid == t)
         assert series.valid[idx] and abs(series.values[idx]) > Q
+        # each record carries the window it was found with and G at its node
+        assert h_found == h and value == series.values[idx]
     # the search stops only when every valid node above Q is retired
     for t, v, ok in zip(series.grid, series.values, series.valid):
         if ok and abs(v) > Q:
             assert any(abs(t - s) < h for s in found)
 
 
+def records(per_h):
+    """The estimate records of per_h, {h: locations}, with value = location."""
+    return [ChangePointEstimate(t, h, t) for h, locs in per_h.items() for t in locs]
+
+
 @st.composite
 def per_window_estimates(draw):
-    """Estimates of up to four window sizes, each list at least h apart,
-    as `estimate_change_points` returns them."""
+    """Estimate locations of up to four window sizes, each list at least h
+    apart, as `estimate_change_points` returns them."""
     hs = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4, unique=True))
     out = {}
     for h in hs:
@@ -504,14 +514,22 @@ def per_window_estimates(draw):
 @settings(max_examples=300, deadline=None)
 @given(per_h=per_window_estimates())
 def test_merge_property(per_h):
-    merged = merge_across_windows(per_h)
+    merged = merge_across_windows(records(per_h))
     assert merged == sorted(merged)
-    for i, (a, ha) in enumerate(merged):
-        assert a in per_h[ha]
-        for b, hb in merged[i + 1:]:
+    for i, (a, ha, value) in enumerate(merged):
+        assert a in per_h[ha] and value == a
+        for b, hb, _ in merged[i + 1:]:
             assert abs(a - b) >= min(ha, hb)
     finest = min(per_h)
-    assert [t for t, h in merged if h == finest] == per_h[finest]
+    assert [t for t, h, _ in merged if h == finest] == per_h[finest]
+
+
+@settings(max_examples=200, deadline=None)
+@given(per_h=per_window_estimates(), data=st.data())
+def test_merge_ignores_input_order(per_h, data):
+    estimates = records(per_h)
+    shuffled = data.draw(st.permutations(estimates))
+    assert merge_across_windows(shuffled) == merge_across_windows(estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +537,18 @@ def test_merge_property(per_h):
 
 
 def test_merge_single_window_is_identity():
-    assert merge_across_windows({150.0: [200.0, 600.0]}) \
-        == [(200.0, 150.0), (600.0, 150.0)]
+    merged = merge_across_windows(records({150.0: [200.0, 600.0]}))
+    assert [e[:2] for e in merged] == [(200.0, 150.0), (600.0, 150.0)]
 
 
 def test_merge_prefers_smaller_window():
-    merged = merge_across_windows({100.0: [500.0], 200.0: [510.0]})
-    assert merged == [(500.0, 100.0)]
+    merged = merge_across_windows(records({100.0: [500.0], 200.0: [510.0]}))
+    assert [e[:2] for e in merged] == [(500.0, 100.0)]
 
 
 def test_merge_disjoint_union_sorted():
-    merged = merge_across_windows({100.0: [700.0], 200.0: [300.0]})
-    assert merged == [(300.0, 200.0), (700.0, 100.0)]
+    merged = merge_across_windows(records({100.0: [700.0], 200.0: [300.0]}))
+    assert [e[:2] for e in merged] == [(300.0, 200.0), (700.0, 100.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +576,21 @@ def test_detect_mismatched_table(table_150):
         detect(seq, 500.0, 1, [150.0], table_150)
     with pytest.raises(ConfigurationError):
         detect(seq, 1000.0, 2, [150.0], table_150)   # horizon != n*T
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("Q", math.nan, "Q must be finite, got nan"),
+    ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+    ("per_h_max_quantiles", {150.0: math.inf}, "per_h_max_quantiles must all be finite"),
+])
+def test_detect_refuses_a_table_load_would_refuse(table_150, field, value, message):
+    # a table built in code never passes through load; with Q = nan the
+    # comparison max|G| > Q is always false, and detect would never reject
+    seq = simulate_compound(SHARK_WEST, 1)
+    assert detect(seq, 1000.0, 1, [150.0], table_150).reject
+    with pytest.raises(ConfigurationError) as err:
+        detect(seq, 1000.0, 1, [150.0], dataclasses.replace(table_150, **{field: value}))
+    assert str(err.value) == f"threshold table: {message}"
 
 
 def test_detect_deterministic(table_150):

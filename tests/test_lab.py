@@ -103,6 +103,35 @@ def test_alternative_limit_without_estimated_sample_fails_with_note():
                          "no estimated-scaling sample"]
 
 
+# life times of mean 1000: the windows of h = 150 hold almost no events
+SPARSE = RenewalSpec(1, 0.001)
+SPARSE_MODEL = ChangePointModel(SPARSE, SPARSE, 500.0, 1000.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check_H0_limit(SPARSE, 1000.0, 150.0, (1, 4, 16), n_reps=20, seed=1),
+    lambda: check_alternative_limit(SPARSE_MODEL, 150.0, (1, 4, 16), n_reps=20, seed=1),
+    lambda: check_window_lln(SPARSE_MODEL, 150.0, (1, 4, 16), seed=1),
+    lambda: check_estimator_consistency(SPARSE_MODEL, 150.0, (1, 4, 16), seed=1),
+    lambda: check_window_variance_forms(SPARSE_MODEL, 150.0, seed=1, n_reps=20),
+], ids=["h0_limit", "alternative_limit", "window_lln", "estimator_consistency",
+        "window_variance_forms"])
+def test_checks_on_a_sparse_law_return_reports(run):
+    assert isinstance(run(), lab.LabReport)
+
+
+def test_estimator_consistency_without_scaling_ratio_fails_with_note():
+    # s_hat is 0 at every grid node of some replicate at scales 1 and 4,
+    # where that replicate's ratio error, and so the scale's mean, is nan
+    rep = check_estimator_consistency(SPARSE_MODEL, 150.0, (1, 4, 16), seed=1)
+    ratio = rep.metrics["sup_scaling_ratio_error"]
+    assert math.isnan(ratio[0]) and math.isnan(ratio[1]) and math.isfinite(ratio[2])
+    assert not rep.passed
+    assert rep.notes[:2] == [
+        f"sup_scaling_ratio_error is undefined in some replicate at scale {n}"
+        for n in (1, 4)]
+
+
 @pytest.mark.parametrize("check, kwargs", [
     (check_alternative_limit, dict(n_reps=4)),
     (check_window_lln, dict()),
