@@ -17,7 +17,9 @@ recorded thresholds.  Two kinds of criteria appear:
 * final-level gates: the last scale must beat a fixed threshold (a KS
   critical value at level 0.05 or 0.01, Bonferroni-corrected across
   probes, or an absolute sup-norm bound).  Probes, change points and
-  grids sit on a lattice of fixed step h/30.
+  grids sit on a lattice of fixed step h/30.  A KS distance is at most 1,
+  so a replicate count whose final critical value is at least 1 fails
+  with a note instead of passing gates that cannot fail.
 
 One caveat is recorded rather than tested away: with estimated scaling,
 the statistic centered by the distorted systematic term keeps an O(1)
@@ -59,10 +61,10 @@ import numpy as np
 from .filtered import window_estimate_series
 from .presets import DEFAULT_H, DEFAULT_SUITE_SEED, DISTORTION_A, DISTORTION_B
 from .renewal import (ChangePointModel, RenewalSpec, WindowConfig, process_map,
-                      simulate_compound, simulate_renewal, substream, worker_count)
-from .theory import (TheoryParams, brownian_blocks, distortion, m_function,
-                     mu_le_theory, mu_ri_theory, s_function, shark_fin,
-                     sigma2_ri_theory, simulate_L_paths)
+                      simulate_compound, simulate_renewal, worker_count)
+from .theory import (TheoryParams, distortion, m_function, mu_le_theory,
+                     mu_ri_theory, s_function, shark_fin, sigma2_ri_theory,
+                     simulate_L_paths)
 
 __all__ = [
     "LabReport",
@@ -184,16 +186,32 @@ def _verdict(report: LabReport, waiver=None, **criteria) -> LabReport:
     return report
 
 
+def _final_critical(report: LabReport, alpha: float, n_tests: int, n_reps: int,
+                    n_ref: int):
+    """The final KS critical value of n_reps replicates against n_ref limit
+    paths at level alpha, Bonferroni-corrected over n_tests tests; None,
+    with a note, where it is at least 1: a KS distance is at most 1, so no
+    KS gate could fail there."""
+    critical = (ks_critical_2samp(alpha / n_tests, n_reps, n_ref) if n_reps > 0
+                else math.inf)
+    if critical < 1.0:
+        return critical
+    report.notes.append(f"insufficient replicates (n_reps={n_reps}): the final KS "
+                        f"critical value {critical:.4g} is at least 1, which no KS "
+                        "distance exceeds")
+    return None
+
+
 def _ks_verdict(report: LabReport, n_reps: int, n_ref: int, alpha: float,
-                trend_metric: str, trend_ks, final_ks, *, tests_key: str,
-                converged_note: str, trend_note: str) -> LabReport:
+                critical: float, trend_metric: str, trend_ks, final_ks, *,
+                tests_key: str, converged_note: str, trend_note: str) -> LabReport:
     """The KS criteria of the limit checks: the probe mean of trend_ks (per
     scale, per probe; recorded as trend_metric) decreases net across the
-    scales, unless every distance in it is already below the critical value
-    at level alpha, Bonferroni-corrected over the len(final_ks) tests, and
-    every distance in final_ks (the last scale of every suite) is below it."""
+    scales, unless every distance in it is already below the final critical
+    value at level alpha (Bonferroni-corrected over the len(final_ks)
+    tests), and every distance in final_ks (the last scale of every suite)
+    is below it."""
     allowance = 2.0 * _KS_SD * math.sqrt((n_reps + n_ref) / (n_reps * n_ref))
-    critical = ks_critical_2samp(alpha / len(final_ks), n_reps, n_ref)
     means = report.metrics[trend_metric] = [float(np.mean(row)) for row in trend_ks]
     report.thresholds = {"alpha": alpha, tests_key: len(final_ks),
                          "final_critical": critical, "step_allowance": allowance}
@@ -260,18 +278,6 @@ def _probe_count_diffs(events: np.ndarray, probes: np.ndarray, h: float,
     nt = np.searchsorted(events, n * probes, side="right")
     nm = np.searchsorted(events, n * (probes - h), side="right")
     return (np_ - nt) - (nt - nm)
-
-
-def _h0_probe_samples(cfg: WindowConfig, h: float, probes: np.ndarray,
-                      n_paths: int, seed: int, stream: tuple) -> np.ndarray:
-    """Null limit-process marginals at the probe times, one row per path."""
-    idx = np.array([cfg.lattice_index(t, "probe time") for t in probes])
-    k = cfg.lattice_index(h, "window size")
-    out = np.empty((n_paths, idx.size))
-    for rows, w, _ in brownian_blocks(substream(seed, *stream), n_paths,
-                                      cfg.lattice_size(), cfg.grid_step):
-        out[rows] = (w[:, idx + k] - 2.0 * w[:, idx] + w[:, idx - k]) / math.sqrt(2.0 * h)
-    return out
 
 
 def _snap_probes(cfg: WindowConfig, h: float, probes) -> np.ndarray:
@@ -343,14 +349,17 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
     test at level 0.05 (Bonferroni-corrected across probes).
     """
     report, cfg, _, _ = _setup("h0_limit", seed, n_levels, h, T)
-    if n_reps < 2:
-        report.notes.append(f"insufficient replicates (n_reps={n_reps}); "
-                            "no distribution comparison possible")
-        return report
     probes = _snap_probes(cfg, h, [h, T / 4, T / 2, 3 * T / 4, T - h])
     n_ref = _REF_PER_REPLICATE * n_reps
+    critical = _final_critical(report, _H0_ALPHA, probes.size, n_reps, n_ref)
+    if critical is None:
+        return report
 
-    ref = _h0_probe_samples(cfg, h, probes, n_ref, seed, stream=(90,))
+    # the law with no change: c at the last lattice node (at most T), so
+    # every window half lies before c and each step is weighted by g1
+    null = TheoryParams(spec.mu, spec.mu, spec.sigma2, spec.sigma2,
+                        min(T, cfg.lattice_size() * cfg.grid_step), T, h)
+    ref = simulate_L_paths(null, cfg.grid_step, seed, n_ref, probes, stream=(90,))
     scale_count = math.sqrt(2.0 * h * spec.sigma2 / spec.mu**3)
 
     per_level = []
@@ -361,8 +370,8 @@ def check_H0_limit(spec: RenewalSpec, T: float, h: float, n_levels, n_reps: int,
                           for j in range(probes.size)])
 
     report.details = {"probes": probes.tolist(), "ks_per_probe": per_level}
-    _ks_verdict(report, n_reps, n_ref, _H0_ALPHA, "mean_ks", per_level, per_level[-1],
-                tests_key="bonferroni_probes",
+    _ks_verdict(report, n_reps, n_ref, _H0_ALPHA, critical, "mean_ks", per_level,
+                per_level[-1], tests_key="bonferroni_probes",
                 converged_note="all scales below the critical value",
                 trend_note="KS trend did not decrease across scales")
     report.metrics["max_ks"] = [float(np.max(row)) for row in per_level]
@@ -399,14 +408,14 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
     """
     report, cfg, model, p1 = _setup("alternative_limit", seed, n_levels, h,
                                     model.T, model)
-    if n_reps < 2:
-        report.notes.append(f"insufficient replicates (n_reps={n_reps})")
-        return report
     probes = _snap_probes(cfg, h, [model.c - h / 2, model.c, model.c + h / 2])
     n_ref = _REF_PER_REPLICATE * n_reps
+    critical = _final_critical(report, _ALTERNATIVE_ALPHA, 2 * probes.size, n_reps,
+                               n_ref)
+    if critical is None:
+        return report
 
-    grid, ref_paths = simulate_L_paths(p1, cfg.grid_step, seed, n_ref, stream=(91,))
-    ref = ref_paths[:, np.searchsorted(grid, probes)]
+    ref = simulate_L_paths(p1, cfg.grid_step, seed, n_ref, probes, stream=(91,))
     delta_t = distortion(probes, p1)
     row = partial(_alternative_row, _observed(model, probes, h), p1, probes, h,
                   delta_t, seed)
@@ -427,8 +436,9 @@ def check_alternative_limit(model: ChangePointModel, h: float, n_levels,
 
     report.details = {"probes": probes.tolist(), "ks_gamma": ks_gamma,
                       "ks_estimated": ks_g}
-    _ks_verdict(report, n_reps, n_ref, _ALTERNATIVE_ALPHA, "ks_gamma_vs_limit",
-                ks_gamma, ks_gamma[-1] + ks_g[-1], tests_key="bonferroni_tests",
+    _ks_verdict(report, n_reps, n_ref, _ALTERNATIVE_ALPHA, critical,
+                "ks_gamma_vs_limit", ks_gamma, ks_gamma[-1] + ks_g[-1],
+                tests_key="bonferroni_tests",
                 converged_note="centered-statistic suite below the critical value "
                                "at all scales",
                 trend_note="centered-statistic KS trend did not decrease across scales")
@@ -459,15 +469,22 @@ def check_window_lln(model: ChangePointModel, h: float, n_levels, seed: int,
                              f"final sup-norm rate error above {final_tol}")
 
 
+def _sup_abs(errors: np.ndarray) -> float:
+    """max |errors|, or nan for no errors."""
+    return np.max(np.abs(errors)) if errors.size else math.nan
+
+
 def _estimator_errors(grid, p1, mu_ri, sig_ri, delta_t, est, n) -> dict:
-    """The sup-norm errors of one replicate; the ratio error is nan where
-    s_hat is 0 at every grid node."""
+    """The sup-norm errors of one replicate, each over the nodes where its
+    estimate is defined: the mean where the right window holds two events
+    or more, the variance where it holds three or more, the ratio where
+    s_hat > 0.  An error is nan where no node qualifies."""
     s_n = s_function(grid, p1.at_scale(n))
-    ok = est.s_hat > 0.0
-    ratio = np.abs(s_n[ok] / est.s_hat[ok] - delta_t[ok])
-    return {"sup_mu_right_error": np.max(np.abs(est.mean_right - mu_ri)),
-            "sup_sigma2_right_error": np.max(np.abs(est.var_right - sig_ri)),
-            "sup_scaling_ratio_error": np.max(ratio) if ratio.size else math.nan}
+    mean_ok, var_ok, ratio_ok = est.count_right > 1, est.count_right > 2, est.s_hat > 0.0
+    return {"sup_mu_right_error": _sup_abs(est.mean_right[mean_ok] - mu_ri[mean_ok]),
+            "sup_sigma2_right_error": _sup_abs(est.var_right[var_ok] - sig_ri[var_ok]),
+            "sup_scaling_ratio_error": _sup_abs(s_n[ratio_ok] / est.s_hat[ratio_ok]
+                                                - delta_t[ratio_ok])}
 
 
 def check_estimator_consistency(model: ChangePointModel, h: float, n_levels,

@@ -357,40 +357,39 @@ def brownian_blocks(rng: np.random.Generator, n_paths: int, n_steps: int,
 
 
 def simulate_L_paths(p: TheoryParams, grid_step: float, seed: int,
-                     n_paths: int, stream: Iterable[int] = ()) -> tuple:
-    """Discretised sample paths of the Gaussian limit process.
+                     n_paths: int, t, stream: Iterable[int] = ()) -> np.ndarray:
+    """Samples of the Gaussian limit process at the 1-d times t.
 
-    Returns (grid, values), values of shape (n_paths, len(grid)), on the grid
-    of window p.h over the `WindowConfig` lattice of step grid_step on [0, p.T],
-    where one Brownian path W per replicate has N(0, grid_step) increments.
-    Window offsets and the change point are lattice index arithmetic, so h
-    and c must be multiples of the grid step.  L_t is W's increment over
-    (t, t+h] minus that over (t-h, t], over s_t at n = 1, each step weighted
-    by sqrt(sigma_i^2/mu_i^3) of the law in force on its side of c.
+    Returns an (n_paths, len(t)) array: row i samples L at the times t from
+    its own Brownian path W, with N(0, grid_step) increments on the
+    `WindowConfig` lattice of step grid_step over [0, p.T].  Window offsets
+    and the change point are lattice index arithmetic, so h, c and every
+    time must be multiples of the grid step (else ConfigurationError), and
+    every time must lie in [h, T - h] (else ValueError).  L_t is W's
+    increment over (t, t+h] minus that over (t-h, t], over s_t at n = 1,
+    each step weighted by sqrt(sigma_i^2/mu_i^3) of the law in force on its
+    side of c.  A column does not depend on the other times asked for.
     """
     cfg = WindowConfig(p.T, (p.h,), grid_step)
-    jg = cfg.grid_indices(p.h)
     kh = cfg.lattice_index(p.h, "window size")
     kc = cfg.lattice_index(p.c, "change point")
-    grid = jg * grid_step
-    ju, jv = np.clip(kc, jg, jg + kh), np.clip(kc, jg - kh, jg)
+    t = np.asarray(t, dtype=float)
+    j = np.array([cfg.lattice_index(x, "time") for x in t], dtype=np.intp)
+    outside = (j < kh) | (j > cfg.lattice_size() - kh)
+    if outside.any():
+        raise ValueError(f"times must lie in [h, T-h] = [{p.h}, {p.T - p.h}], "
+                         f"got {t[outside].tolist()}")
+    ju, jv = np.clip(kc, j, j + kh), np.clip(kc, j - kh, j)
     g1, g2 = math.sqrt(p.ratio1), math.sqrt(p.ratio2)
-    s = s_function(grid, p.at_scale(1))
+    s = s_function(j * grid_step, p.at_scale(1))
 
-    m = jg.size
-    values = np.empty((n_paths, m))
+    values = np.empty((n_paths, j.size))
     rng = substream(seed, *stream)
-    for rows, w, spare in brownian_blocks(rng, n_paths, cfg.lattice_size(), grid_step):
-        # the grid is jg = kh, ..., kh+m-1, so w at jg+kh, jg, jg-kh are slices
-        wp, wt, wm = w[:, 2 * kh:2 * kh + m], w[:, kh:kh + m], w[:, :m]
-        # W where c splits the right and left half; W_u is gathered into the
-        # lent scratch (ju is in range, and `take` buffers its output in raise
-        # mode or when `out` is not C-contiguous)
-        wu = np.take(w, ju, axis=1, mode="clip",
-                     out=spare.reshape(-1)[:len(w) * m].reshape(len(w), m))
-        wv = w[:, jv]
+    for rows, w, _ in brownian_blocks(rng, n_paths, cfg.lattice_size(), grid_step):
+        # W at t+h, t, t-h and where c splits the right and left half
+        wp, wt, wm, wu, wv = (w[:, i] for i in (j + kh, j, j - kh, ju, jv))
         out = values[rows]
-        # L s = g1 (W_j-kh - W_j + D) + g2 (W_j+kh - W_j - D), D = W_u - W_v
+        # L s = g1 (W_t-h - W_t + D) + g2 (W_t+h - W_t - D), D = W_u - W_v
         wu -= wv
         np.subtract(wm, wt, out=out)
         out += wu
@@ -400,4 +399,4 @@ def simulate_L_paths(p: TheoryParams, grid_step: float, seed: int,
         wv *= g2
         out += wv
         out /= s
-    return grid, values
+    return values

@@ -21,8 +21,8 @@ from sharkfin.lab import (check_estimator_consistency,
                           ks_statistic_2samp)
 from sharkfin.presets import (DISTORTION_A, DISTORTION_B, ORIENTATION_MODELS,
                               SHARK_WEST)
-from sharkfin.renewal import (ChangePointModel, RenewalSpec, simulate_compound,
-                              simulate_renewal)
+from sharkfin.renewal import (ChangePointModel, RenewalSpec, WindowConfig,
+                              simulate_compound, simulate_renewal)
 from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
                              detection_bound, distortion, shark_fin,
                              simulate_L_paths)
@@ -135,12 +135,12 @@ def test_06_distortion_anchors():
 
 def test_07_limit_marginals():
     p = TheoryParams.from_model(DISTORTION_A, H)
-    grid, paths = simulate_L_paths(p, 5.0, seed=11, n_paths=10000)
+    probes = (150.0, 425.0, 500.0, 575.0, 850.0)
+    paths = simulate_L_paths(p, 5.0, seed=11, n_paths=10000, t=probes)
     crit = ks_critical_normal(0.01, 10000)
     rows = []
     ok = True
-    for t in (150.0, 425.0, 500.0, 575.0, 850.0):
-        col = paths[:, int(np.searchsorted(grid, t))]
+    for t, col in zip(probes, paths.T):
         var = col.var(ddof=1)
         ks = ks_statistic_normal(col)
         ok &= 0.95 <= var <= 1.05 and ks < crit
@@ -188,8 +188,8 @@ def test_10_distributional_identity():
         seq = simulate_compound(observed, seed=555, stream=(r,))
         est = window_estimate_series(seq, np.array([C]), H, n)
         vals[r] = est.count_diff[0] / est.s_hat[0] - delta_c * lam_c
-    grid, ref = simulate_L_paths(p1, 5.0, seed=777, n_paths=2000)
-    ref_c = delta_c * ref[:, int(np.searchsorted(grid, C))]
+    ref = simulate_L_paths(p1, 5.0, seed=777, n_paths=2000, t=[C])
+    ref_c = delta_c * ref[:, 0]
     ks = ks_statistic_2samp(vals, ref_c)
     crit = ks_critical_2samp(0.01, 500, 2000)
     report(10, "distributional identity", ks < crit,
@@ -214,7 +214,8 @@ def test_power_matches_distorted_fin_prediction(prediction_table, phi1, phi2):
     emp = np.mean([detect(simulate_compound(model, 2014, stream=(r,)),
                           T, 1, [H], prediction_table).reject for r in range(600)])
     p = TheoryParams.from_model(model, H)
-    grid, L = simulate_L_paths(p, 5.0, 7, 4000)
+    grid = WindowConfig(T, (H,), 5.0).grid(H)
+    L = simulate_L_paths(p, 5.0, 7, 4000, grid)
     G = distortion(grid, p) * (shark_fin(grid, p) + L)
     pred = np.mean(np.abs(G).max(axis=1) > Q)
     band = 4 * math.sqrt(pred * (1 - pred) * (1 / 600 + 1 / 4000))

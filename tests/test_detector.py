@@ -383,8 +383,9 @@ def test_windows_at_the_alignment_tolerance_end_on_the_lattice():
     assert math.isfinite(table.Q)
     assert np.array_equal(_h0_block(cfg, 3, 0, 8), _h0_block_oracle(cfg, 3, 0, 8))
     p = TheoryParams(1.0, 0.5, 1.0, 0.25, c=500.0, T=EDGE_T, h=EDGE_H)
-    grid, paths = simulate_L_paths(p, 1.0, seed=3, n_paths=4)
-    assert np.array_equal(grid, cfg.grid(EDGE_H)) and paths.shape == (4, grid.size)
+    grid = cfg.grid(EDGE_H)
+    paths = simulate_L_paths(p, 1.0, seed=3, n_paths=4, t=grid)
+    assert paths.shape == (4, grid.size)
     assert np.isfinite(paths).all()
 
 

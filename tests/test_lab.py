@@ -97,7 +97,7 @@ def test_alternative_limit_without_estimated_sample_fails_with_note():
     # life times of mean 200, then 100: a window of h = 150 often holds
     # none, and s_hat is 0 at c - h/2 in every replicate at scale 1
     model = ChangePointModel(RenewalSpec(1, 0.005), RenewalSpec(1, 0.01), 500.0, 1000.0)
-    rep = check_alternative_limit(model, 150.0, (1, 4, 16), n_reps=4, seed=1)
+    rep = check_alternative_limit(model, 150.0, (1, 4, 16), n_reps=5, seed=1)
     assert not rep.passed and "criteria" not in rep.details
     assert rep.notes == ["s_hat is 0 at probe 425.0 in every replicate at scale 1: "
                          "no estimated-scaling sample"]
@@ -127,13 +127,52 @@ def test_estimator_consistency_without_scaling_ratio_fails_with_note():
     ratio = rep.metrics["sup_scaling_ratio_error"]
     assert math.isnan(ratio[0]) and math.isnan(ratio[1]) and math.isfinite(ratio[2])
     assert not rep.passed
-    assert rep.notes[:2] == [
-        f"sup_scaling_ratio_error is undefined in some replicate at scale {n}"
-        for n in (1, 4)]
+    assert {f"sup_scaling_ratio_error is undefined in some replicate at scale {n}"
+            for n in (1, 4)} <= set(rep.notes)
+
+
+def test_estimator_errors_skip_windows_without_an_estimate():
+    # the right window of h = 150 holds fewer than two events at most
+    # nodes: a mean or variance there is undefined, not an error of the
+    # whole limit (1000 for the mean, 10**6 for the variance)
+    rep = check_estimator_consistency(SPARSE_MODEL, 150.0, (1, 4, 16), seed=1)
+    for name, limit in (("sup_mu_right_error", 1000.0), ("sup_sigma2_right_error", 1e6)):
+        errors = rep.metrics[name]
+        assert math.isnan(errors[0]) and math.isnan(errors[1])
+        assert math.isfinite(errors[2]) and errors[2] != limit
+        assert f"{name} is undefined in some replicate at scale 1" in rep.notes
+
+
+@pytest.mark.parametrize("n_reps", [-1, 0, 1, 2, 3])
+def test_h0_limit_fails_where_no_ks_gate_can_fail(n_reps):
+    # a KS distance is at most 1: with 5 probes at level 0.05 and 4 limit
+    # paths per replicate, the final critical value is 1.287 at 2
+    # replicates and 1.051 at 3, and every gate would pass
+    rep = check_H0_limit(RenewalSpec(1, 0.005), 1000.0, 150.0, (1, 4, 16), n_reps, 1)
+    crit = ks_critical_2samp(0.05 / 5, n_reps, 4 * n_reps) if n_reps > 0 else math.inf
+    assert crit >= 1.0 and not rep.passed and not rep.metrics
+    assert rep.notes == [f"insufficient replicates (n_reps={n_reps}): the final KS "
+                         f"critical value {crit:.4g} is at least 1, which no KS "
+                         "distance exceeds"]
+
+
+@pytest.mark.parametrize("n_reps", [0, 2, 4])
+def test_alternative_limit_fails_where_no_ks_gate_can_fail(n_reps):
+    # 6 tests at level 0.01: the final critical value is 1.489 at 2
+    # replicates and 1.053 at 4
+    model = ChangePointModel(RenewalSpec(1, 0.02), RenewalSpec(1, 0.04), 500.0, 1000.0)
+    rep = check_alternative_limit(model, 150.0, (1, 4, 16), n_reps, 1)
+    crit = ks_critical_2samp(0.01 / 6, n_reps, 4 * n_reps) if n_reps > 0 else math.inf
+    assert crit >= 1.0 and not rep.passed and not rep.metrics
+    assert rep.notes == [f"insufficient replicates (n_reps={n_reps}): the final KS "
+                         f"critical value {crit:.4g} is at least 1, which no KS "
+                         "distance exceeds"]
+    assert check_alternative_limit(model, 150.0, (1, 4, 16), 5, 1).thresholds[
+        "final_critical"] < 1.0
 
 
 @pytest.mark.parametrize("check, kwargs", [
-    (check_alternative_limit, dict(n_reps=4)),
+    (check_alternative_limit, dict(n_reps=5)),
     (check_window_lln, dict()),
     (check_estimator_consistency, dict()),
 ], ids=["alternative_limit", "window_lln", "estimator_consistency"])
@@ -206,8 +245,7 @@ def test_corollary_case_estimated_statistic_matches_plain_limit():
         seq = simulate_compound(model, seed=71, stream=(r,))
         est = window_estimate_series(seq, np.array([500.0]), h, 1)
         vals.append(est.count_diff[0] / est.s_hat[0])
-    grid, ref = simulate_L_paths(p, 5.0, seed=72, n_paths=1200)
-    ref_c = ref[:, np.searchsorted(grid, 500.0)]
+    ref_c = simulate_L_paths(p, 5.0, seed=72, n_paths=1200, t=[500.0])[:, 0]
     assert ks_statistic_2samp(np.asarray(vals), ref_c) \
         < ks_critical_2samp(0.01, 300, 1200)
 
@@ -443,7 +481,7 @@ def test_ks_final_level_gates_at_the_critical_value(factor, holds):
     crit = ks_critical_2samp(0.05 / 5, 600, 2400)
     per_level = [[0.5] * 5, [0.25] * 5, [0.0] * 4 + [factor * crit]]
     rep = lab._ks_verdict(lab.LabReport("h0_limit", 0, [1, 4, 16]), 600, 2400, 0.05,
-                          "mean_ks", per_level, per_level[-1],
+                          crit, "mean_ks", per_level, per_level[-1],
                           tests_key="bonferroni_probes", converged_note="converged",
                           trend_note="no decrease")
     assert rep.thresholds["final_critical"] == crit

@@ -15,16 +15,19 @@ from sharkfin.presets import (DEFAULT_H, DISTORTION_A, DISTORTION_B,
                               SHARK_EAST_INVERTED, SHARK_WEST,
                               SHARK_WEST_INVERTED)
 from sharkfin.renewal import (ConfigurationError, RenewalSpec, WindowConfig,
-                              simulate_compound)
+                              simulate_compound, substream)
 from sharkfin.filtered import window_estimate_series
-from sharkfin.theory import (SharkShape, TheoryParams, classify_shark,
-                             detection_bound, distortion, m_function,
+from sharkfin.theory import (SharkShape, TheoryParams, brownian_blocks,
+                             classify_shark, detection_bound, distortion, m_function,
                              mu_le_theory, mu_ri_theory, normal_cdf,
                              s_function, s_tilde, shark_fin, sigma2_le_theory,
                              sigma2_ri_theory, simulate_L_paths)
 
 ROW_A = TheoryParams.from_model(SHARK_WEST, 150.0)
 FLAT = TheoryParams(1.0, 1.0, 1.0, 1.0, c=500.0, T=1000.0, h=150.0)
+# the grids of h = 150 at steps 5 and 1 on [0, 1000]
+GRID_5 = WindowConfig(1000.0, (150.0,), 5.0).grid(150.0)
+GRID_1 = WindowConfig(1000.0, (150.0,), 1.0).grid(150.0)
 
 
 def mixture_sigma2_oracle(t, p):
@@ -386,47 +389,84 @@ def test_detection_bound_at_an_interior_law():
 
 
 def test_simulate_L_deterministic_and_flat_reduces_to_null_form():
-    _, a = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1)
-    _, b = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1)
+    a = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1, t=GRID_5)
+    b = simulate_L_paths(ROW_A, 5.0, seed=5, n_paths=1, t=GRID_5)
     assert np.array_equal(a, b)
     # without a change every lattice step has the same weight, so the
     # path cannot depend on where c sits
-    _, flat1 = simulate_L_paths(FLAT, 5.0, seed=6, n_paths=1)
-    _, flat2 = simulate_L_paths(TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
-                                             T=1000.0, h=150.0), 5.0,
-                                seed=6, n_paths=1)
+    flat1 = simulate_L_paths(FLAT, 5.0, seed=6, n_paths=1, t=GRID_5)
+    flat2 = simulate_L_paths(TheoryParams(1.0, 1.0, 1.0, 1.0, c=250.0,
+                                          T=1000.0, h=150.0), 5.0,
+                             seed=6, n_paths=1, t=GRID_5)
     assert np.allclose(flat1, flat2, atol=1e-10)
 
 
 def test_simulate_L_paths_do_not_depend_on_chunking():
     # T/step = 1000 lattice steps: 300 paths span several row chunks
-    grid, many = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=300)
-    _, few = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=7)
+    many = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=300, t=GRID_1)
+    few = simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=7, t=GRID_1)
     assert np.array_equal(many[:7], few)
-    assert np.array_equal(simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=1)[1], few[:1])
-    assert np.isfinite(many).all() and grid.size == many.shape[1]
+    assert np.array_equal(simulate_L_paths(ROW_A, 1.0, seed=8, n_paths=1, t=GRID_1),
+                          few[:1])
+    assert np.isfinite(many).all() and GRID_1.size == many.shape[1]
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 300])
+def test_simulate_L_at_chosen_times_equals_the_full_grid_columns(n_paths):
+    # any subset of grid nodes, in any order and with repeats, around c and
+    # at both ends of the grid, samples the full-grid columns bit for bit
+    full = simulate_L_paths(ROW_A, 1.0, seed=9, n_paths=n_paths, t=GRID_1)
+    idx = np.array([350, 0, 700, 349, 351, 199, 200, 201, 500, 0, 62])
+    some = simulate_L_paths(ROW_A, 1.0, seed=9, n_paths=n_paths, t=GRID_1[idx])
+    assert np.array_equal(some, full[:, idx])
+
+
+@pytest.mark.parametrize("t", [[145.0], [500.0, 855.0], [-5.0], [0.0], [1000.0]],
+                         ids=["below_h", "above_T_minus_h", "negative", "zero", "T"])
+def test_simulate_L_rejects_times_outside_the_grid(t):
+    with pytest.raises(ValueError, match=r"times must lie in \[h, T-h\]") as err:
+        simulate_L_paths(ROW_A, 5.0, seed=1, n_paths=2, t=t)
+    assert not isinstance(err.value, ConfigurationError)
+
+
+def test_simulate_L_rejects_times_off_the_lattice():
+    with pytest.raises(ConfigurationError, match="time 502.5 is not a multiple"):
+        simulate_L_paths(ROW_A, 5.0, seed=1, n_paths=2, t=[500.0, 502.5])
+
+
+@pytest.mark.parametrize("p", [
+    FLAT, TheoryParams(0.5, 0.5, 0.25, 0.25, c=1000.0, T=1000.0, h=150.0)],
+    ids=["unit_c_500", "r=2_c_at_T"])
+def test_simulate_L_with_equal_laws_is_the_null_second_difference(p):
+    # the oracle reads the same substream's Brownian paths directly:
+    # (W_t+h - 2 W_t + W_t-h) / sqrt(2h), whatever c is
+    probes = np.array([150.0, 300.0, 495.0, 500.0, 505.0, 850.0])
+    got = simulate_L_paths(p, 5.0, seed=4, n_paths=200, t=probes, stream=(90,))
+    j, k = (probes / 5.0).astype(int), 30
+    want = np.empty_like(got)
+    for rows, w, _ in brownian_blocks(substream(4, 90), 200, 200, 5.0):
+        want[rows] = (w[:, j + k] - 2.0 * w[:, j] + w[:, j - k]) / math.sqrt(2.0 * p.h)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_simulate_L_rejects_misaligned_configuration():
     off = TheoryParams(1.0, 0.05, 1.0, 1 / 400, c=501.0, T=1000.0, h=150.0)
     with pytest.raises(ConfigurationError, match="change point 501.0"):
-        simulate_L_paths(off, 5.0, seed=1, n_paths=1)
+        simulate_L_paths(off, 5.0, seed=1, n_paths=1, t=GRID_5)
 
 
 def test_simulate_L_lag_decorrelation():
     p = TheoryParams.from_model(DISTORTION_A, 150.0)
-    grid, paths = simulate_L_paths(p, 5.0, seed=12, n_paths=10000)
-    j1 = np.searchsorted(grid, 150.0)
-    j2 = np.searchsorted(grid, 850.0)
-    corr = np.corrcoef(paths[:, j1], paths[:, j2])[0, 1]
+    paths = simulate_L_paths(p, 5.0, seed=12, n_paths=10000, t=(150.0, 850.0))
+    corr = np.corrcoef(paths[:, 0], paths[:, 1])[0, 1]
     assert abs(corr) < 0.05
 
 
 def test_simulate_L_unit_variance_quick():
     p = TheoryParams.from_model(DISTORTION_A, 150.0)
-    grid, paths = simulate_L_paths(p, 5.0, seed=13, n_paths=4000)
-    for t in (150.0, 500.0, 850.0):
-        v = paths[:, np.searchsorted(grid, t)].var(ddof=1)
+    paths = simulate_L_paths(p, 5.0, seed=13, n_paths=4000, t=(150.0, 500.0, 850.0))
+    for col in paths.T:
+        v = col.var(ddof=1)
         assert abs(v - 1.0) < 0.08
 
 
@@ -462,8 +502,8 @@ L_COV_CASES = {**ORIENTATION_MODELS, "distortion_a": DISTORTION_A,
 @pytest.mark.parametrize("name", sorted(L_COV_CASES))
 def test_simulate_L_covariance_matches_definition(name):
     p = TheoryParams.from_model(L_COV_CASES[name], 150.0)
-    grid, paths = simulate_L_paths(p, 5.0, seed=19, n_paths=L_COV_PATHS)
-    h, lo, hi = p.h, grid[0], grid[-1]
+    paths = simulate_L_paths(p, 5.0, seed=19, n_paths=L_COV_PATHS, t=GRID_5)
+    h, lo, hi = p.h, GRID_5[0], GRID_5[-1]
     nodes = (p.c - h, p.c - h / 2, p.c, p.c + h / 2, p.c + h)
     lags = (0.0, h / 2, h, 3 * h / 2, 2 * h, 5 * h / 2)
     pairs = sorted({(t, t + sign * lag) for t in nodes for lag in lags
@@ -471,7 +511,7 @@ def test_simulate_L_covariance_matches_definition(name):
     weighted = 0
     for t, u in pairs:
         want = brute_L_covariance(p, 5.0, t, u)
-        x, y = paths[:, np.searchsorted(grid, t)], paths[:, np.searchsorted(grid, u)]
+        x, y = paths[:, np.searchsorted(GRID_5, t)], paths[:, np.searchsorted(GRID_5, u)]
         assert abs(np.mean(x * y) - want) < L_COV_BOUND, (t, u, want)
         weighted += abs(want - null_L_covariance(u - t, h)) > 2 * L_COV_BOUND
     # the pairs see the weights of the change-point neighbourhood: where the
